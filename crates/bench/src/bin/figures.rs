@@ -40,13 +40,14 @@ use oovr_edge::{
     EdgeChaosCell, EdgeConfig, LinkConfig,
 };
 use oovr_frameworks::{Baseline, ObjectSfr, RenderScheme};
+use oovr_scene::pose::PoseTrajectory;
 use oovr_scene::stats::SceneStats;
 use oovr_scene::vr::{GAMING_PC, STEREO_VR};
 use oovr_scene::BenchmarkSpec;
 use oovr_serve::{
     capacity, capacity_table, chaos_table, cluster_policy_table, cluster_scale_table, cost_stream,
     health_table, metrics_table, simulate, simulate_cluster, simulate_metered, ChaosCell,
-    ClusterConfig, Placement, PoseTrajectory, ServeConfig, ServeScheme,
+    ClusterConfig, Placement, ServeConfig, ServeScheme,
 };
 
 const ALL_IDS: &[&str] = &[

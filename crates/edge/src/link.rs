@@ -23,7 +23,8 @@ use rand::{Rng, SeedableRng};
 pub struct LinkConfig {
     /// Link capacity as a multiple of the aggregate steady encoded-frame
     /// demand (`sessions × steady_bytes / V`). `f64::INFINITY` models an
-    /// ideal unbounded link (no queueing, no byte-budget admission).
+    /// ideal unbounded link (no queueing, no byte-budget admission); a
+    /// zero, negative or NaN provision carries nothing.
     pub provision: f64,
     /// Fixed propagation latency in cycles, added after queueing.
     pub latency: Cycle,
@@ -90,6 +91,8 @@ impl LinkConfig {
 /// The simulated link: a seeded lossy bandwidth server.
 #[derive(Debug, Clone)]
 pub struct NetworkLink {
+    /// Capacity in bytes per cycle; `None` = unbounded.
+    capacity: Option<f64>,
     server: Option<BandwidthServer>,
     schedule: Option<RateSchedule>,
     latency: Cycle,
@@ -101,20 +104,23 @@ pub struct NetworkLink {
 impl NetworkLink {
     /// Builds the link for one run. `session_rate` is one session's
     /// steady encoded-byte demand per cycle; the capacity is
-    /// `provision × sessions × session_rate` (bounded links only). A
-    /// bounded link with zero demand carries nothing worth queueing and
-    /// degrades to a pure-latency link.
+    /// `provision × sessions × session_rate`. Only an infinite provision
+    /// or zero demand leaves the link unbounded: zero demand carries
+    /// nothing worth queueing and degrades to a pure-latency link. A
+    /// zero, negative or NaN provision is a bounded link of zero
+    /// capacity, which admission turns every session away from.
     pub fn new(cfg: &LinkConfig, session_rate: f64, sessions: u32, seed: u64) -> Self {
         let schedule = cfg.compiled_schedule();
-        let capacity = cfg.provision * session_rate * f64::from(sessions.max(1));
-        let server = if cfg.provision.is_finite() && capacity > 0.0 {
-            let mut srv = BandwidthServer::new(capacity, cfg.latency);
+        let bounded = cfg.provision != f64::INFINITY && session_rate > 0.0;
+        let capacity =
+            bounded.then(|| (cfg.provision * session_rate * f64::from(sessions.max(1))).max(0.0));
+        let server = capacity.filter(|&c| c > 0.0).map(|c| {
+            let mut srv = BandwidthServer::new(c, cfg.latency);
             srv.set_schedule(schedule.clone());
-            Some(srv)
-        } else {
-            None
-        };
+            srv
+        });
         NetworkLink {
+            capacity,
             server,
             schedule,
             latency: cfg.latency,
@@ -126,7 +132,7 @@ impl NetworkLink {
 
     /// Bytes-per-cycle capacity of a bounded link (`None` = unbounded).
     pub fn bytes_per_cycle(&self) -> Option<f64> {
-        self.server.as_ref().map(BandwidthServer::bytes_per_cycle)
+        self.capacity
     }
 
     /// Queues `bytes` at `now` and returns the client-side arrival cycle

@@ -31,10 +31,10 @@
 use oovr::experiments::{par_map, FigureTable};
 use oovr::temporal::TemporalProfile;
 use oovr_gpu::GpuConfig;
+use oovr_scene::pose::PoseTrajectory;
 use oovr_scene::BenchmarkSpec;
 use oovr_trace::Cycle;
 
-use crate::pose::PoseTrajectory;
 use crate::scheduler::ServeConfig;
 use crate::stream::{cost_stream, ServeScheme};
 

@@ -38,13 +38,14 @@ use oovr::{ResilienceConfig, TemporalConfig};
 use oovr_gpu::{FaultPlan, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
-use oovr_trace::{Cycle, Recorder, TraceEvent, TraceSink};
+use oovr_trace::{Cycle, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{calibrate_discounted, DEFAULT_HEADROOM};
 use crate::capacity::MISS_BUDGET;
 use crate::router::{Placement, RouterConfig, ServerView};
+use crate::scheduler::record_trace;
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 
 /// Probe horizon of [`cluster_capacity`], in vsync intervals (matches the
@@ -822,12 +823,7 @@ pub fn simulate_cluster_metered(
     }
 
     if let Some(rec) = trace {
-        // Exporters require non-decreasing timestamps per track; stable
-        // sort keeps causal order within a cycle.
-        events.sort_by_key(|e| e.cycle());
-        for e in events {
-            rec.record(e);
-        }
+        record_trace(rec, events);
     }
 
     if let Some(reg) = metrics {

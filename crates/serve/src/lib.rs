@@ -10,8 +10,6 @@
 //! no wall clock is ever read, so every run replays bit-identically from
 //! its seed. The pieces:
 //!
-//! * [`pose`] — seeded head-pose trajectories; each session is a
-//!   pose-driven frame stream, one view transform per 90 Hz frame.
 //! * [`stream`] — per-session frame-cost streams measured once on the
 //!   deterministic executor (OO-VR sessions pay PA on their cold frame,
 //!   then replay the steady state) and memoized process-wide. The
@@ -22,10 +20,13 @@
 //! * [`admission`] — admission control from the paper's Eq. 3 predictor:
 //!   a session enters only if the predicted aggregate steady demand fits
 //!   inside one vsync interval with headroom.
-//! * [`scheduler`] — the EDF vsync scheduler multiplexing admitted
-//!   sessions onto the single 4-GPM renderer, with stale-frame drops,
+//! * [`scheduler`] — the one EDF vsync core ([`run_edf`]) multiplexing
+//!   admitted sessions onto the single 4-GPM renderer. Each session is a
+//!   seeded head-pose frame stream ([`oovr_scene::pose`]), one view
+//!   transform per 90 Hz frame. The core handles stale-frame drops,
 //!   `ResilienceConfig`-driven load shedding, and full session-lifecycle
-//!   tracing through `oovr-trace`.
+//!   tracing through `oovr-trace`, and takes an extra [`AdmissionGate`]
+//!   that the edge tier fills with its link byte budget.
 //! * [`qos`] — per-session and aggregate p50/p99/p99.9 frame latency,
 //!   missed-vsync rate, drops, sheds, and goodput.
 //! * [`capacity`] — the steady-state capacity probe behind the
@@ -60,7 +61,6 @@ pub mod capacity;
 pub mod chaos;
 pub mod cluster;
 pub mod metrics;
-pub mod pose;
 pub mod qos;
 pub mod router;
 pub mod scheduler;
@@ -80,11 +80,11 @@ pub use metrics::{
     FAULT_MISS_BUDGET, NOMINAL_MISS_BUDGET, SERVE_MISS_BUDGET, SHED_TIME_BUDGET,
 };
 pub use oovr_gpu::VSYNC_90HZ_CYCLES;
-pub use pose::{Pose, PoseModel, PoseTrajectory};
 pub use qos::{aggregate_qos, percentile, session_qos, AggregateQos, SessionQos};
 pub use router::{Placement, RouterConfig, ServerView};
 pub use scheduler::{
-    simulate, simulate_metered, FrameRecord, Reject, ServeConfig, ServeOutcome, SessionOutcome,
+    record_trace, run_edf, simulate, simulate_metered, AdmissionGate, FrameRecord, Reject,
+    ServeConfig, ServeOutcome, SessionOutcome,
 };
 pub use stream::{
     cost_stream, serve_cache_stats, ServeCacheStats, ServeScheme, SessionCostStream,

@@ -7,6 +7,8 @@
 //! 90 Hz vsync grid. Nothing reads a wall clock and every tie-break is a
 //! total order over integers, so a (scheme, workload, config, seed) tuple
 //! replays bit-identically — the property the serving proptests pin.
+//! The loop itself is [`run_edf`], the one EDF core: the edge tier runs
+//! the same function with its link byte budget as an [`AdmissionGate`].
 //!
 //! The model:
 //!
@@ -38,6 +40,7 @@ use std::sync::Arc;
 use oovr::{ResilienceConfig, TemporalConfig};
 use oovr_gpu::{FrameReport, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::Registry;
+use oovr_scene::pose::{Pose, PoseTrajectory};
 use oovr_scene::BenchmarkSpec;
 use oovr_trace::{Cycle, Recorder, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
@@ -46,7 +49,6 @@ use rand::{Rng, SeedableRng};
 use crate::admission::{
     calibrate_discounted, AdmissionController, AdmissionDecision, DEFAULT_HEADROOM,
 };
-use crate::pose::{Pose, PoseTrajectory};
 use crate::qos::{aggregate_qos, session_qos, AggregateQos, SessionQos};
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 
@@ -191,17 +193,121 @@ pub fn simulate(
 /// histogram, admission and temporal counters), windowed by the vsync
 /// interval. The registry is a pure observer: a metered run is
 /// bit-identical to an unmetered one (pinned by `prop_metrics`), and with
-/// `None` the only cost is one untaken `Option` branch per event site —
-/// the same contract the trace recorder honours.
+/// `None` nothing is folded — the same contract the trace recorder
+/// honours.
 pub fn simulate_metered(
     scheme: ServeScheme,
     spec: &BenchmarkSpec,
     gpu: &GpuConfig,
     cfg: &ServeConfig,
     trace: Option<&mut Recorder>,
-    mut metrics: Option<&mut Registry>,
+    metrics: Option<&mut Registry>,
 ) -> ServeOutcome {
     let stream = cost_stream(scheme, spec, gpu);
+    let mut events = Vec::new();
+    let (sessions, rejects) = run_edf(scheme, &stream, cfg, &mut (), &mut events);
+    if let Some(reg) = metrics {
+        record_metrics(reg, &sessions, &rejects, &events);
+    }
+    if let Some(rec) = trace {
+        record_trace(rec, events);
+    }
+    let vsync = cfg.vsync_cycles.max(1);
+    ServeOutcome { scheme, workload: spec.name.clone(), vsync, sessions, rejects, stream }
+}
+
+/// Hands a run's events to `rec`. Emission order is simulation order; the
+/// exporters require non-decreasing timestamps per track, so events are
+/// sorted by cycle (stable — same-cycle events keep their causal order).
+pub fn record_trace(rec: &mut Recorder, mut events: Vec<TraceEvent>) {
+    events.sort_by_key(|e| e.cycle());
+    for e in events {
+        rec.record(e);
+    }
+}
+
+/// Folds one run's serve-layer metrics from its outcome and its
+/// temporal-reuse events. Frame metrics cover paced frames only — warmup
+/// is outside the SLO accounting, matching [`session_qos`].
+fn record_metrics(
+    reg: &mut Registry,
+    sessions: &[SessionOutcome],
+    rejects: &[Reject],
+    events: &[TraceEvent],
+) {
+    for s in sessions {
+        reg.inc("sessions_admitted", "", s.arrival, 1);
+        reg.observe("admission_predicted_cycles", "", s.arrival, s.predicted as Cycle);
+        for f in s.frames.iter().filter(|f| f.frame > 0) {
+            reg.inc("frames", "", f.end, 1);
+            if f.missed {
+                reg.inc("frames_missed", "", f.end, 1);
+            }
+            if f.dropped {
+                reg.inc("frames_dropped", "", f.end, 1);
+                continue;
+            }
+            reg.observe("frame_latency_cycles", "", f.end, f.end - f.release);
+            if f.scale < 1.0 {
+                reg.inc("frames_shed", "", f.end, 1);
+            }
+        }
+    }
+    for r in rejects {
+        reg.inc("sessions_rejected", "", r.arrival, 1);
+    }
+    for e in events {
+        if let TraceEvent::TemporalReuse { cycle, reused, rerendered, saved, .. } = *e {
+            reg.inc("temporal_frames", "", cycle, 1);
+            reg.inc("temporal_objects_reused", "", cycle, u64::from(reused));
+            reg.inc("temporal_objects_rerendered", "", cycle, u64::from(rerendered));
+            reg.inc("temporal_saved_cycles", "", cycle, saved);
+        }
+    }
+    let min_scale = sessions
+        .iter()
+        .flat_map(|s| s.frames.iter())
+        .filter(|f| !f.dropped)
+        .map(|f| f.scale)
+        .fold(1.0f64, f64::min);
+    reg.set_gauge("min_scale", "", min_scale);
+}
+
+/// An extra admission constraint [`run_edf`] checks at the door, before
+/// the Eq. 3 compute controller. A gate draws no randomness, so one that
+/// passes every session leaves the run bit-identical to local serving.
+/// `()` is local serving's no-op gate; the edge tier's link byte budget
+/// is the other implementation.
+pub trait AdmissionGate {
+    /// `Some((predicted, reason))` turns away the session arriving at
+    /// `arrival`; `None` passes it on to the compute controller.
+    fn check(&mut self, arrival: Cycle) -> Option<(f64, &'static str)>;
+
+    /// The session passed both gates and holds its load until `departure`.
+    fn admit(&mut self, departure: Cycle);
+}
+
+impl AdmissionGate for () {
+    fn check(&mut self, _arrival: Cycle) -> Option<(f64, &'static str)> {
+        None
+    }
+
+    fn admit(&mut self, _departure: Cycle) {}
+}
+
+/// The one EDF core behind every serving run: seeded arrivals, `gate`
+/// then Eq. 3 admission, per-session pose paths, and EDF over the release
+/// list with stale drops, shedding and temporal reuse. Lifecycle events
+/// are appended to `events` in simulation order. Returns the admitted
+/// sessions (frames in frame order) and the rejects, both in arrival
+/// order.
+pub fn run_edf(
+    scheme: ServeScheme,
+    stream: &SessionCostStream,
+    cfg: &ServeConfig,
+    gate: &mut impl AdmissionGate,
+    events: &mut Vec<TraceEvent>,
+) -> (Vec<SessionOutcome>, Vec<Reject>) {
     let v = cfg.vsync_cycles.max(1);
     let total_frames = cfg.frames_per_session + 1; // warmup + paced
 
@@ -223,7 +329,6 @@ pub fn simulate_metered(
     let steady_tris = stream.steady().counts.triangles;
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut events: Vec<TraceEvent> = Vec::new();
     let mut sessions: Vec<SessionOutcome> = Vec::new();
     let mut poses: Vec<Vec<Pose>> = Vec::new();
     let mut rejects: Vec<Reject> = Vec::new();
@@ -237,7 +342,11 @@ pub fn simulate_metered(
         // A session holds its budget until one interval past its last
         // deadline (slack for queueing delay).
         let departure = arrival + Cycle::from(total_frames + 1) * v;
-        match admission.offer(arrival, steady_tris, departure) {
+        let decision = match gate.check(arrival) {
+            Some((predicted, reason)) => AdmissionDecision::Rejected { predicted, reason },
+            None => admission.offer(arrival, steady_tris, departure),
+        };
+        match decision {
             AdmissionDecision::Admitted { active, predicted } => {
                 events.push(TraceEvent::SessionAdmit {
                     cycle: arrival,
@@ -245,10 +354,7 @@ pub fn simulate_metered(
                     predicted,
                     active,
                 });
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_admitted", "", arrival, 1);
-                    reg.observe("admission_predicted_cycles", "", arrival, predicted as Cycle);
-                }
+                gate.admit(departure);
                 // The head-pose trajectory is per-session seeded: frame 0
                 // presents the rest pose, each paced frame steps the walk.
                 let mut traj = PoseTrajectory::new(
@@ -271,9 +377,6 @@ pub fn simulate_metered(
                     predicted,
                     reason,
                 });
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_rejected", "", arrival, 1);
-                }
                 rejects.push(Reject { id, arrival, predicted });
             }
         }
@@ -317,15 +420,6 @@ pub fn simulate_metered(
             // More than one interval stale: presenting it would only push
             // younger frames later. Drop without consuming render time.
             events.push(TraceEvent::FrameDrop { cycle: now, session: id, frame, reason: "stale" });
-            if frame > 0 {
-                // Paced frames only — warmup is outside the SLO accounting,
-                // matching `qos::session_qos`.
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("frames", "", now, 1);
-                    reg.inc("frames_missed", "", now, 1);
-                    reg.inc("frames_dropped", "", now, 1);
-                }
-            }
             session.frames.push(FrameRecord {
                 frame,
                 report_index,
@@ -375,12 +469,6 @@ pub fn simulate_metered(
                 rerendered: d.rerendered,
                 saved: d.saved,
             });
-            if let Some(reg) = metrics.as_deref_mut() {
-                reg.inc("temporal_frames", "", start, 1);
-                reg.inc("temporal_objects_reused", "", start, u64::from(d.reused));
-                reg.inc("temporal_objects_rerendered", "", start, u64::from(d.rerendered));
-                reg.inc("temporal_saved_cycles", "", start, d.saved);
-            }
         }
         let missed = end > deadline;
         if missed {
@@ -388,18 +476,6 @@ pub fn simulate_metered(
         } else if sheds && scale < 1.0 {
             // Backpressure released: recover shade quality multiplicatively.
             scales[slot as usize] = (scale / step).min(1.0);
-        }
-        if frame > 0 {
-            if let Some(reg) = metrics.as_deref_mut() {
-                reg.inc("frames", "", end, 1);
-                reg.observe("frame_latency_cycles", "", end, end - release);
-                if missed {
-                    reg.inc("frames_missed", "", end, 1);
-                }
-                if scale < 1.0 {
-                    reg.inc("frames_shed", "", end, 1);
-                }
-            }
         }
         session.frames.push(FrameRecord {
             frame,
@@ -419,28 +495,7 @@ pub fn simulate_metered(
     for s in &mut sessions {
         s.frames.sort_by_key(|f| f.frame);
     }
-
-    if let Some(rec) = trace {
-        // Emission order is simulation order; the exporters require
-        // non-decreasing timestamps per track, so sort by cycle (stable —
-        // same-cycle events keep their causal order).
-        events.sort_by_key(|e| e.cycle());
-        for e in events {
-            rec.record(e);
-        }
-    }
-
-    if let Some(reg) = metrics {
-        let min_scale = sessions
-            .iter()
-            .flat_map(|s| s.frames.iter())
-            .filter(|f| !f.dropped)
-            .map(|f| f.scale)
-            .fold(1.0f64, f64::min);
-        reg.set_gauge("min_scale", "", min_scale);
-    }
-
-    ServeOutcome { scheme, workload: spec.name.clone(), vsync: v, sessions, rejects, stream }
+    (sessions, rejects)
 }
 
 #[cfg(test)]

@@ -25,10 +25,9 @@ use oovr::cache::{self, config_digest, spec_digest};
 use oovr::experiments::SchemeKind;
 use oovr::schemes::OoVr;
 use oovr_gpu::{FrameReport, GpuConfig};
+use oovr_scene::pose::PoseTrajectory;
 use oovr_scene::BenchmarkSpec;
 use oovr_trace::Cycle;
-
-use crate::pose::PoseTrajectory;
 
 /// Warm frames measured for schemes with cross-frame executor state. Frame
 /// 0 is the cold (PA-paying) frame; the last report is the steady-state

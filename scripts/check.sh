@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate: everything CI would complain about, in one command.
 #
-#   ./scripts/check.sh          # build + tests + clippy + fmt + golden digest
+#   ./scripts/check.sh          # build + tests + clippy + fmt + golden digest + perfbench
 #
 # Run from anywhere; the script cds to the repo root.
 set -euo pipefail
@@ -102,5 +102,18 @@ cargo run -q --release -p oovr-bench --bin figures -- --scale 0.05 trace edge hl
 
 echo "==> cargo bench --no-run (criterion benches stay compilable)"
 cargo bench --no-run
+
+echo "==> perfbench self-tests (the repository benchmark builds and passes)"
+# perfbench/ is its own Cargo package, so the workspace build and tests
+# above never compile it: a serve/edge API change that breaks the
+# benchmark would otherwise pass this gate.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench serve-fleet (1 s at the default seed: recorded digest)"
+# Exits non-zero when the simulated-statistics digest differs from the
+# one recorded in perfbench (RECORDED_DIGESTS) or any check fails, so a
+# refactor that perturbs the scheduler, admission, router or link
+# outputs fails here.
+cargo run -q --release --manifest-path perfbench/Cargo.toml -- --workload serve-fleet --seconds 1
 
 echo "==> all checks passed"

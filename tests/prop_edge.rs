@@ -9,6 +9,10 @@
 //!   folded [`AggregateQos`], and the admission decisions must equal
 //!   `oovr_serve::simulate` bit-for-bit across schemes, loads, and
 //!   seeds.
+//! * **The link gate draws no randomness.** Over a bounded, undersized
+//!   link the link budget turns sessions away, yet every offer keeps the
+//!   `(id, arrival)` local serving gives it: the gate sits in front of the
+//!   one EDF core and never touches the arrival stream.
 //! * **Seeded determinism.** A `(scheme, workload, edge config)` tuple —
 //!   including a faulted, lossy, bandwidth-bound link — replays to a
 //!   byte-identical [`EdgeOutcome`]: same deliveries, same losses, same
@@ -20,7 +24,8 @@ use proptest::test_runner::TestCaseError;
 use oovr_edge::{edge_qos, simulate_edge, ClientConfig, EdgeConfig, LinkConfig};
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_scene::benchmarks;
-use oovr_serve::{simulate, FrameRecord, ServeConfig, ServeScheme};
+use oovr_serve::{simulate, FrameRecord, Reject, ServeConfig, ServeScheme};
+use oovr_trace::{Cycle, Recorder, TraceConfig, TraceEvent};
 
 fn spec() -> oovr_scene::BenchmarkSpec {
     benchmarks::hl2_640().scaled(0.05)
@@ -40,6 +45,14 @@ fn assert_records_identical(a: &FrameRecord, b: &FrameRecord) -> Result<(), Test
     prop_assert_eq!(a.report_index, b.report_index);
     prop_assert_eq!(a.pose, b.pose);
     Ok(())
+}
+
+/// Every offer of a run, admitted or rejected, as `(id, arrival)` in id
+/// order.
+fn offers(admitted: impl Iterator<Item = (u32, Cycle)>, rejects: &[Reject]) -> Vec<(u32, Cycle)> {
+    let mut all: Vec<_> = admitted.chain(rejects.iter().map(|r| (r.id, r.arrival))).collect();
+    all.sort_unstable();
+    all
 }
 
 const SCHEMES: [ServeScheme; 3] =
@@ -82,6 +95,41 @@ proptest! {
             }
         }
         prop_assert_eq!(edge_qos(&edge), local.qos());
+    }
+
+    /// Over an undersized link the gate fires, but every offer —
+    /// admitted or rejected — arrives exactly when it does in the local
+    /// run, and each link reject is traced with reason `"link"`.
+    #[test]
+    fn link_gate_leaves_the_arrival_stream_alone(
+        scheme_idx in 0usize..3,
+        sessions in 2u32..8,
+        provision in 0.05f64..0.95,
+        seed in 0u64..1_000,
+    ) {
+        let scheme = SCHEMES[scheme_idx];
+        let spec = spec();
+        let gpu = GpuConfig::default();
+        let serve_cfg = ServeConfig { sessions, frames_per_session: 3, seed, ..ServeConfig::default() };
+        let local = simulate(scheme, &spec, &gpu, &serve_cfg, None);
+        let cfg = EdgeConfig {
+            serve: serve_cfg,
+            link: LinkConfig { provision, ..LinkConfig::default() },
+            client: ClientConfig::default(),
+        };
+        let mut rec = Recorder::new(TraceConfig::default());
+        let edge = simulate_edge(scheme, &spec, &gpu, &cfg, Some(&mut rec));
+        let local_offers = offers(local.sessions.iter().map(|s| (s.id, s.arrival)), &local.rejects);
+        let edge_offers = offers(edge.sessions.iter().map(|s| (s.id, s.arrival)), &edge.rejects);
+        prop_assert_eq!(local_offers.len(), sessions as usize);
+        prop_assert_eq!(edge_offers, local_offers);
+
+        let link_rejects = rec
+            .events()
+            .filter(|e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == "link"))
+            .count();
+        prop_assert!(edge.link_rejected > 0, "an undersized link must turn sessions away");
+        prop_assert_eq!(link_rejects, edge.link_rejected as usize);
     }
 
     /// A faulted, lossy, bandwidth-bound split run replays bit-

@@ -20,7 +20,8 @@ use proptest::prelude::*;
 use oovr::temporal::TemporalConfig;
 use oovr_gpu::GpuConfig;
 use oovr_scene::benchmarks;
-use oovr_serve::{cost_stream, simulate, PoseTrajectory, ServeConfig, ServeScheme};
+use oovr_scene::pose::PoseTrajectory;
+use oovr_serve::{cost_stream, simulate, ServeConfig, ServeScheme};
 use oovr_trace::Cycle;
 
 /// The sweep's workload pool, small enough to stay cheap in debug builds.
