@@ -19,9 +19,14 @@ pub fn scenes() -> Vec<Scene> {
     ]
 }
 
+/// The workload behind [`scene`].
+pub fn spec() -> BenchmarkSpec {
+    benchmarks::hl2_640().scaled(BENCH_SCALE)
+}
+
 /// One mid-size scene.
 pub fn scene() -> Scene {
-    benchmarks::hl2_640().scaled(BENCH_SCALE).build()
+    spec().build()
 }
 
 /// The scaled nine-point suite (for benches that sweep).

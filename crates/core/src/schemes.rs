@@ -158,22 +158,7 @@ impl OoVr {
     ///
     /// Panics if `frames` is zero.
     pub fn render_frames(&self, scene: &Scene, cfg: &GpuConfig, frames: u32) -> Vec<FrameReport> {
-        assert!(frames > 0, "need at least one frame");
-        let (fb_org, comp) = if self.dhc {
-            (FbOrg::Columns, Composition::Distributed)
-        } else {
-            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
-        };
-        let mut ex =
-            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
-        let batches = build_batches(scene, self.middleware);
-        let mut reports = Vec::with_capacity(frames as usize);
-        for _ in 0..frames {
-            let mark = ex.begin_frame();
-            run_distribution(&mut ex, &batches, &self.distribution);
-            reports.push(ex.finish_frame(&mark, self.name(), comp));
-        }
-        reports
+        self.render_warm(scene, cfg, frames, false).0
     }
 
     /// Like [`render_frames`](Self::render_frames), but also profiles the
@@ -193,20 +178,27 @@ impl OoVr {
         cfg: &GpuConfig,
         frames: u32,
     ) -> (Vec<FrameReport>, crate::temporal::TemporalProfile) {
+        let (reports, profile) = self.render_warm(scene, cfg, frames, true);
+        (reports, profile.expect("profile requested"))
+    }
+
+    /// The warm frame loop behind [`render_frames`](Self::render_frames);
+    /// with `profile`, it also attributes the last frame per object.
+    fn render_warm(
+        &self,
+        scene: &Scene,
+        cfg: &GpuConfig,
+        frames: u32,
+        profile: bool,
+    ) -> (Vec<FrameReport>, Option<crate::temporal::TemporalProfile>) {
         assert!(frames > 0, "need at least one frame");
-        let (fb_org, comp) = if self.dhc {
-            (FbOrg::Columns, Composition::Distributed)
-        } else {
-            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
-        };
-        let mut ex =
-            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
+        let (mut ex, comp) = self.executor(scene, cfg);
         let batches = build_batches(scene, self.middleware);
         let mut reports = Vec::with_capacity(frames as usize);
         let mut busy0 = Vec::new();
         let mut px0 = Vec::new();
         for i in 0..frames {
-            if i + 1 == frames {
+            if profile && i + 1 == frames {
                 busy0 = ex.object_busy().to_vec();
                 px0 = ex.object_pixels().to_vec();
             }
@@ -214,12 +206,27 @@ impl OoVr {
             run_distribution(&mut ex, &batches, &self.distribution);
             reports.push(ex.finish_frame(&mark, self.name(), comp));
         }
-        let busy: Vec<u64> = ex.object_busy().iter().zip(&busy0).map(|(a, b)| a - b).collect();
-        let pixels: Vec<u64> = ex.object_pixels().iter().zip(&px0).map(|(a, b)| a - b).collect();
-        let steady = reports.last().expect("frames > 0").frame_cycles;
-        let profile =
-            crate::temporal::TemporalProfile::new(scene, cfg, cfg.n_gpms, busy, &pixels, steady);
+        let profile = profile.then(|| {
+            let busy: Vec<u64> = ex.object_busy().iter().zip(&busy0).map(|(a, b)| a - b).collect();
+            let pixels: Vec<u64> =
+                ex.object_pixels().iter().zip(&px0).map(|(a, b)| a - b).collect();
+            let steady = reports.last().expect("frames > 0").frame_cycles;
+            crate::temporal::TemporalProfile::new(scene, cfg, cfg.n_gpms, busy, &pixels, steady)
+        });
         (reports, profile)
+    }
+
+    /// A fresh executor for `scene` with this configuration's framebuffer
+    /// organisation, and the composition that goes with it.
+    fn executor<'s>(&self, scene: &'s Scene, cfg: &GpuConfig) -> (Executor<'s>, Composition) {
+        let (fb_org, comp) = if self.dhc {
+            (FbOrg::Columns, Composition::Distributed)
+        } else {
+            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
+        };
+        let ex =
+            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
+        (ex, comp)
     }
 
     /// Shared frame body; `trace` attaches the flight recorder. Also
@@ -230,13 +237,7 @@ impl OoVr {
         cfg: &GpuConfig,
         trace: Option<TraceConfig>,
     ) -> (FrameReport, Option<Recorder>, DistributionStats) {
-        let (fb_org, comp) = if self.dhc {
-            (FbOrg::Columns, Composition::Distributed)
-        } else {
-            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
-        };
-        let mut ex =
-            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
+        let (mut ex, comp) = self.executor(scene, cfg);
         if let Some(tc) = trace {
             ex.enable_trace(tc);
         }

@@ -23,6 +23,17 @@
 //! with its (clamped) warp cost at its resident GPM. A session's temporal
 //! frame cost is then `steady_cost − saved`, floored at 1 cycle.
 //!
+//! # The batched decision
+//!
+//! A decision is two passes. [`TemporalProfile::motions`] does the
+//! pose-pair work once (equality flag, both view matrices, the head
+//! shift) and measures every object in one loop over the profile's
+//! column-laid [`MotionProbes`], whose rays and diagonals were computed
+//! when the profile was built. [`TemporalProfile::decide_motions`] then
+//! folds the per-GPM loads. The motions are bit-identical to each object's
+//! [`RenderObject::projected_motion`](oovr_scene::RenderObject::projected_motion):
+//! both paths run one per-object function (see [`oovr_scene::motion`]).
+//!
 //! # Exactness at threshold 0
 //!
 //! Reuse requires `motion < reuse_threshold` *strictly*; motion is
@@ -43,7 +54,7 @@
 use oovr_frameworks::atw;
 use oovr_gpu::GpuConfig;
 use oovr_mem::Cycle;
-use oovr_scene::{MotionProbe, Pose, Scene};
+use oovr_scene::{MotionProbes, Pose, Scene};
 
 /// Default reuse threshold in pixels of projected-bound motion.
 ///
@@ -112,7 +123,8 @@ impl TemporalDecision {
 /// delta.
 #[derive(Debug, Clone)]
 pub struct TemporalProfile {
-    probes: Vec<MotionProbe>,
+    /// Per-object reprojection probes, laid out as columns.
+    probes: MotionProbes,
     /// Steady-frame busy attribution, flattened `[object × n_gpms + gpm]`.
     busy: Vec<Cycle>,
     /// Per-object ATW warp cost, clamped to the busy it would replace.
@@ -207,18 +219,39 @@ impl TemporalProfile {
     /// Decides reuse for one frame under the pose delta `from → to`.
     ///
     /// Deterministic f64 throughout — same poses and threshold, same
-    /// decision, on every call and every host.
+    /// decision, on every call and every host. Equal to
+    /// [`decide_motions`](Self::decide_motions) over each object's
+    /// [`projected_motion`](oovr_scene::RenderObject::projected_motion).
     pub fn decide(&self, from: &Pose, to: &Pose, threshold: f64) -> TemporalDecision {
-        let n = self.probes.len() as u32;
-        if threshold <= 0.0 || n == 0 {
+        if threshold <= 0.0 || self.probes.is_empty() {
             // Motion is non-negative and the comparison strict: nothing can
             // reuse. Skip the probe walk so the exact path costs nothing.
+            let n = self.probes.len() as u32;
             return TemporalDecision { reused: 0, rerendered: n, saved: 0 };
         }
+        self.decide_motions(&self.motions(from, to), threshold)
+    }
+
+    /// Every object's projected-bound motion (pixels) under `from → to`, in
+    /// submission order: the pose-pair work is done once, then one batched
+    /// loop measures every probe.
+    pub fn motions(&self, from: &Pose, to: &Pose) -> Vec<f64> {
+        self.probes.motions(from, to)
+    }
+
+    /// Decides reuse for one frame from each object's measured motion:
+    /// objects with `motion < threshold` swap their busy for their warp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `motion` does not hold one value per object.
+    pub fn decide_motions(&self, motion: &[f64], threshold: f64) -> TemporalDecision {
+        let n = self.probes.len();
+        assert_eq!(motion.len(), n, "one motion per object");
         let mut loads = self.full.clone();
         let mut reused = 0u32;
-        for (o, probe) in self.probes.iter().enumerate() {
-            if probe.motion(from, to) < threshold {
+        for (o, &m) in motion.iter().enumerate() {
+            if m < threshold {
                 reused += 1;
                 for (l, b) in loads.iter_mut().zip(&self.busy[o * self.n_gpms..]) {
                     *l -= b;
@@ -227,7 +260,11 @@ impl TemporalProfile {
             }
         }
         let reduced_max = loads.iter().copied().max().unwrap_or(0);
-        TemporalDecision { reused, rerendered: n - reused, saved: self.full_max - reduced_max }
+        TemporalDecision {
+            reused,
+            rerendered: n as u32 - reused,
+            saved: self.full_max - reduced_max,
+        }
     }
 }
 

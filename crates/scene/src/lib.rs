@@ -46,6 +46,7 @@ pub mod benchmarks;
 pub mod error;
 pub mod generator;
 pub mod geometry;
+pub mod motion;
 pub mod object;
 pub mod pose;
 pub mod scene;
@@ -57,7 +58,8 @@ pub mod vr;
 pub use error::SceneError;
 pub use generator::{BenchmarkSpec, Personality};
 pub use geometry::{Rect, ScreenTriangle, TriSampler, Vec2};
-pub use object::{MotionProbe, ObjectBuilder, RenderObject, TextureUse};
+pub use motion::{MotionProbe, MotionProbes};
+pub use object::{ObjectBuilder, RenderObject, TextureUse};
 pub use pose::{Pose, PoseModel, PoseTrajectory};
 pub use scene::{Scene, SceneBuilder};
 pub use texture::TextureDesc;

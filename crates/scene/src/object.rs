@@ -8,6 +8,7 @@
 //! dependencies (forced batch merging in §5.1).
 
 use crate::geometry::{Rect, ScreenTriangle, Vec2};
+use crate::motion::MotionProbe;
 use crate::pose::Pose;
 use crate::types::{Eye, ObjectId, Resolution, TextureId, Viewport};
 
@@ -133,12 +134,12 @@ impl RenderObject {
         let vp = self.viewport(res, Eye::Left);
         let (x0, y0, x1, y1) =
             (f64::from(vp.x), f64::from(vp.y), f64::from(vp.x1()), f64::from(vp.y1()));
-        MotionProbe {
-            corners: [[x0, y0], [x1, y0], [x0, y1], [x1, y1]],
-            depth: f64::from(self.depth),
-            width: f64::from(res.width),
-            height: f64::from(res.height),
-        }
+        MotionProbe::new(
+            [[x0, y0], [x1, y0], [x0, y1], [x1, y1]],
+            f64::from(self.depth),
+            f64::from(res.width),
+            f64::from(res.height),
+        )
     }
 
     /// Projected-bound motion (pixels) of this object between two poses:
@@ -264,73 +265,6 @@ impl Iterator for Triangles<'_> {
 }
 
 impl ExactSizeIterator for Triangles<'_> {}
-
-/// Precomputed reprojection data of one object's viewport bound — see
-/// [`RenderObject::motion_probe`]. The probe assumes the canonical 90°
-/// symmetric frustum (`tan(fov/2) = 1` on both axes), which is all the
-/// motion *metric* needs: it ranks pose deltas, it does not rasterize.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MotionProbe {
-    /// Pixel-space corners of the left-eye viewport bound.
-    corners: [[f64; 2]; 4],
-    /// Object depth in `(0,1)`; nearer objects parallax-shift more.
-    depth: f64,
-    /// Per-eye viewport width in pixels.
-    width: f64,
-    /// Per-eye viewport height in pixels.
-    height: f64,
-}
-
-impl MotionProbe {
-    /// Projected-bound motion in pixels between `from` and `to`: the
-    /// maximum screen displacement of the bound's corners when their view
-    /// rays are carried from the old view basis into the new one, plus a
-    /// positional parallax term scaled by `(1 - depth)`. A corner whose
-    /// reprojected ray leaves the forward frustum counts as a full-screen
-    /// move (the object must be re-rendered, not warped).
-    pub fn motion(&self, from: &Pose, to: &Pose) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        let rf = from.view_matrix();
-        let rt = to.view_matrix();
-        let diag = (self.width * self.width + self.height * self.height).sqrt();
-        let mut worst = 0.0f64;
-        for &[px, py] in &self.corners {
-            // Pixel -> NDC -> view-space ray under the canonical frustum.
-            let v = [px / self.width * 2.0 - 1.0, py / self.height * 2.0 - 1.0, 1.0];
-            // View matrices map world->view with orthonormal rows, so the
-            // world ray is R_from^T · v and the new view ray R_to · world.
-            let mut w = [0.0f64; 3];
-            for (i, vi) in v.iter().enumerate() {
-                for (j, wj) in w.iter_mut().enumerate() {
-                    *wj += rf[i][j] * vi;
-                }
-            }
-            let mut n = [0.0f64; 3];
-            for (i, ni) in n.iter_mut().enumerate() {
-                for (j, wj) in w.iter().enumerate() {
-                    *ni += rt[i][j] * wj;
-                }
-            }
-            if n[2] <= 1e-9 {
-                return diag;
-            }
-            let nx = (n[0] / n[2] + 1.0) * 0.5 * self.width;
-            let ny = (n[1] / n[2] + 1.0) * 0.5 * self.height;
-            let d = ((nx - px) * (nx - px) + (ny - py) * (ny - py)).sqrt();
-            worst = worst.max(d);
-        }
-        let dp = [
-            to.position[0] - from.position[0],
-            to.position[1] - from.position[1],
-            to.position[2] - from.position[2],
-        ];
-        let shift = (dp[0] * dp[0] + dp[1] * dp[1] + dp[2] * dp[2]).sqrt();
-        let parallax = shift * (1.0 - self.depth) * 0.5 * self.width;
-        (worst + parallax).min(diag)
-    }
-}
 
 /// Builder for [`RenderObject`]; obtained from
 /// [`SceneBuilder::object`](crate::scene::SceneBuilder::object).

@@ -79,16 +79,10 @@ impl Scene {
     }
 
     /// One reprojection probe per object at this scene's resolution, in
-    /// submission order — the precomputed form of
+    /// submission order and laid out as columns — the precomputed form of
     /// [`RenderObject::projected_motion`] the temporal-reuse layer keys on.
-    pub fn motion_probes(&self) -> Vec<crate::object::MotionProbe> {
+    pub fn motion_probes(&self) -> crate::motion::MotionProbes {
         self.objects.iter().map(|o| o.motion_probe(self.resolution)).collect()
-    }
-
-    /// Projected-bound motion (pixels) of every object between two poses,
-    /// in submission order.
-    pub fn projected_motions(&self, from: &crate::pose::Pose, to: &crate::pose::Pose) -> Vec<f64> {
-        self.objects.iter().map(|o| o.projected_motion(self.resolution, from, to)).collect()
     }
 }
 

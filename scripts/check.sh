@@ -116,4 +116,11 @@ echo "==> perfbench serve-fleet (1 s at the default seed: recorded digest)"
 # outputs fails here.
 cargo run -q --release --manifest-path perfbench/Cargo.toml -- --workload serve-fleet --seconds 1
 
+echo "==> perfbench render-cold + paper-grid (one pass each: recorded digests)"
+# --seconds 0 runs the single first pass every run makes (~10 s each on
+# two cores) and checks its digest, so a change that perturbs the render
+# substrate, the memo or the fault/resilient path fails here too.
+cargo run -q --release --manifest-path perfbench/Cargo.toml -- --workload render-cold --seconds 0
+cargo run -q --release --manifest-path perfbench/Cargo.toml -- --workload paper-grid --seconds 0
+
 echo "==> all checks passed"
