@@ -7,8 +7,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use oovr::middleware::{build_batches, MiddlewareConfig};
 use oovr_gpu::{fragment_count, ColorMode, Composition, Executor, FbOrg, GpuConfig, RenderUnit};
 use oovr_mem::{
-    AccessLevel, Addr, GpmId, MemConfig, MemorySystem, PageTable, Placement, SetAssocCache,
-    Traffic, TrafficClass,
+    Addr, GpmId, MemConfig, MemorySystem, PageTable, Placement, SetAssocCache, Traffic,
+    TrafficClass,
 };
 use oovr_scene::{benchmarks, Eye, ScreenTriangle, TextureId, Vec2};
 
@@ -71,32 +71,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 64) % (8 * 1024 * 1024);
             black_box(mem.read(GpmId((i / 64 % 4) as u8), Addr(i), TrafficClass::Texture, true))
-        })
-    });
-
-    // Batched reads: a run-heavy stream (texel walks revisit the same line)
-    // folds into counted MRU hits, vs a line-striding stream that folds
-    // nothing — the gap is the amortization read_batch buys.
-    let run_heavy: Vec<Addr> =
-        (0..256u64).flat_map(|i| (0..8u64).map(move |r| Addr((i % 32) * 64 + r * 7))).collect();
-    let striding: Vec<Addr> = (0..2048u64).map(|i| Addr((i * 64) % (1 << 20))).collect();
-    c.bench_function("mem_read_batch_runs", |b| {
-        let mut mem = MemorySystem::new(4, MemConfig::default(), Placement::FirstTouch);
-        let mut levels: Vec<AccessLevel> = Vec::with_capacity(run_heavy.len());
-        b.iter(|| {
-            levels.clear();
-            mem.read_batch(GpmId(0), &run_heavy, TrafficClass::Texture, true, &mut levels);
-            black_box(levels.len())
-        })
-    });
-
-    c.bench_function("mem_read_batch_striding", |b| {
-        let mut mem = MemorySystem::new(4, MemConfig::default(), Placement::FirstTouch);
-        let mut levels: Vec<AccessLevel> = Vec::with_capacity(striding.len());
-        b.iter(|| {
-            levels.clear();
-            mem.read_batch(GpmId(0), &striding, TrafficClass::Texture, true, &mut levels);
-            black_box(levels.len())
         })
     });
 

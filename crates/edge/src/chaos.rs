@@ -75,7 +75,7 @@ pub fn edge_nominal_mtp_target(vsync: Cycle, link_latency: Cycle) -> f64 {
 }
 
 /// The edge-tier objectives over the metrics
-/// [`simulate_edge_metered`](crate::sim::simulate_edge_metered) emits.
+/// [`simulate_edge_metered`] emits.
 /// `mtp_target` is the p99 motion-to-photon budget in cycles:
 /// [`edge_nominal_mtp_target`] for healthy-link runs,
 /// [`EDGE_FAULT_MTP_VSYNCS`]`·V` for runs under a fault plan (outage

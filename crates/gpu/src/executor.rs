@@ -169,12 +169,6 @@ pub struct Executor<'s> {
     /// Fragment-compute scale in `(0, 1]`: the deadline monitor's foveation
     /// knob. `1.0` (the default) is bit-identical to the unscaled model.
     shade_scale: f64,
-    /// Batched-memory counter aggregate `(sessions, ops, folded)`: the
-    /// fragment sink streams each triangle's accesses through one
-    /// [`BatchSession`](oovr_mem::BatchSession) and tallies its counts
-    /// here; `Drop` flushes the totals to the process-wide substrate
-    /// counters in one shot, keeping atomics off the per-triangle path.
-    batch_counts: (u64, u64, u64),
     /// Precomputed anisotropic sample offsets `s × aniso_spread` for
     /// `s in 0..texel_samples_per_quad`: the per-sample int→float convert
     /// and multiply would otherwise run once per quad sample.
@@ -291,7 +285,6 @@ impl<'s> Executor<'s> {
             throttle_cursor: vec![0; throttle.len()],
             throttle,
             shade_scale: 1.0,
-            batch_counts: (0, 0, 0),
             du_table: (0..cfg_du_samples).map(|s| s as f32 * cfg_du_spread).collect(),
             tracer: None,
             object_busy: vec![0; scene.objects().len() * n],
@@ -655,12 +648,8 @@ impl<'s> Executor<'s> {
                 }
                 let desc = self.scene.texture(tri.texture);
                 let tex_region = self.layout.texture_region(tri.texture);
-                // Split borrows for the rasterization sink. Memory traffic
-                // goes through a streaming batch session (one per triangle):
-                // the fold collapses same-line runs into counted MRU hits
-                // with bit-identical outcomes, and the exclusive borrow it
-                // holds is exactly the fold's soundness premise.
-                let mut batch = self.mem.batch(gpm);
+                // Split borrows for the rasterization sink.
+                let mem = &mut self.mem;
                 let zbuf = &mut self.zbuf;
                 let layout = &self.layout;
                 let counts = &mut self.counts;
@@ -685,25 +674,28 @@ impl<'s> Executor<'s> {
                         let off = row + desc.col_offset((q.uv.x + du) as i64);
                         let addr = tex_region.at(off.min(tex_region.size - 1));
                         if addr.line() != last_line {
-                            batch.read_l1(addr, TrafficClass::Texture);
+                            mem.read(gpm, addr, TrafficClass::Texture, true);
                             last_line = addr.line();
                             samples += 1;
                         }
                     }
                     // Depth test: read the Z line, write back if any pass.
                     let zaddr = layout.zb_addr(q.x, q.y);
-                    batch.read_l2(zaddr, TrafficClass::Depth);
+                    mem.read(gpm, zaddr, TrafficClass::Depth, false);
                     let mut quad_passed = 0u64;
                     for (px, py) in q.pixels() {
                         if zbuf.test_and_set(px, py, q.z) {
                             quad_passed += 1;
                             match color_mode {
                                 ColorMode::Direct => {
-                                    batch.write(layout.fb_addr(px, py), TrafficClass::Color);
+                                    mem.write(gpm, layout.fb_addr(px, py), TrafficClass::Color);
                                 }
                                 ColorMode::Deferred => {
-                                    batch
-                                        .write(layout.scratch_addr(g, px, py), TrafficClass::Color);
+                                    mem.write(
+                                        gpm,
+                                        layout.scratch_addr(g, px, py),
+                                        TrafficClass::Color,
+                                    );
                                     let p = match fb_org {
                                         FbOrg::Single(root) => root.index(),
                                         FbOrg::Rows => row_owner[py as usize] as usize,
@@ -715,14 +707,10 @@ impl<'s> Executor<'s> {
                         }
                     }
                     if quad_passed > 0 {
-                        batch.write(zaddr, TrafficClass::Depth);
+                        mem.write(gpm, zaddr, TrafficClass::Depth);
                         passed += quad_passed;
                     }
                 });
-                let (ops, folded) = batch.finish();
-                self.batch_counts.0 += 1;
-                self.batch_counts.1 += ops;
-                self.batch_counts.2 += folded;
                 self.counts.quads += quads;
                 self.counts.pixels_out += passed;
                 self.gpms[g].shaded_pixels += passed;
@@ -963,16 +951,6 @@ impl<'s> Executor<'s> {
         }
     }
 
-    /// Flushes the batched-memory counter aggregate to the process-wide
-    /// substrate counters. Called from `Drop`, so every executor —
-    /// single-frame, warm frame-sequence, or abandoned — reports exactly
-    /// once, with one atomic round-trip per executor lifetime.
-    fn flush_batch_counts(&mut self) {
-        let (batches, ops, folded) = self.batch_counts;
-        self.batch_counts = (0, 0, 0);
-        oovr_mem::record_batch_group(batches, ops, folded);
-    }
-
     /// Composes and produces the frame report.
     pub fn finish(mut self, scheme: &str, comp: Composition) -> FrameReport {
         let end = self.compose(comp);
@@ -1043,12 +1021,6 @@ pub fn partition_of_column(x: u32, stereo_width: u32, n: usize) -> usize {
 pub fn partition_of_row(y: u32, height: u32, n: usize) -> usize {
     let h = (height as usize).div_ceil(n);
     ((y as usize) / h).min(n - 1)
-}
-
-impl Drop for Executor<'_> {
-    fn drop(&mut self) {
-        self.flush_batch_counts();
-    }
 }
 
 #[cfg(test)]
@@ -1374,16 +1346,33 @@ mod tests {
 
     #[test]
     fn try_new_rejects_invalid_config() {
+        use oovr_mem::MemConfig;
         let s = scene();
-        let cfg = GpuConfig { dram_gbps: -1.0, ..GpuConfig::default() };
-        let r = Executor::try_new(
-            cfg,
-            &s,
-            Placement::FirstTouch,
-            FbOrg::InterleavedPages,
-            ColorMode::Direct,
-        );
-        assert!(matches!(r, Err(crate::error::GpuError::InvalidConfig(_))));
+        let mem = |m: MemConfig| GpuConfig { mem: m, ..GpuConfig::default() };
+        let config: fn(&GpuError) -> bool = |e| matches!(e, GpuError::InvalidConfig(_));
+        let memory: fn(&GpuError) -> bool = |e| matches!(e, GpuError::Mem(_));
+        let cases = [
+            (GpuConfig { dram_gbps: -1.0, ..GpuConfig::default() }, "negative DRAM", config),
+            (mem(MemConfig { l1_bytes: 0, ..MemConfig::default() }), "zero-byte L1", memory),
+            (mem(MemConfig { l2_ways: 0, ..MemConfig::default() }), "zero-way L2", memory),
+            (
+                mem(MemConfig { l1_bytes: 64, l1_ways: 8, ..MemConfig::default() }),
+                "tiny L1",
+                memory,
+            ),
+        ];
+        for (cfg, what, expected) in cases {
+            match Executor::try_new(
+                cfg,
+                &s,
+                Placement::FirstTouch,
+                FbOrg::InterleavedPages,
+                ColorMode::Direct,
+            ) {
+                Err(e) => assert!(expected(&e), "{what}: wrong error {e}"),
+                Ok(_) => panic!("{what}: accepted"),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! GPU-side metrics sampling.
 //!
 //! Bridges a finished frame and the memory system into the
-//! `oovr-metrics` registry, mirroring what [`crate::trace`]'s `ExecTracer`
+//! `oovr-metrics` registry, mirroring what the `trace` module's `ExecTracer`
 //! does for the flight recorder: observers that read executor and memory
 //! state through shared references and can never perturb the simulation.
 //! Per-quantum activity reaches the registry via

@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use crate::address::LINE_SIZE;
 use crate::placement::MAX_GPMS;
 
 /// Errors raised by the memory substrate.
@@ -24,6 +25,15 @@ pub enum MemError {
         /// Pages the table can hold.
         capacity_pages: u64,
     },
+    /// A cache level has no ways or too little capacity for one set.
+    InvalidCache {
+        /// `"L1"` or `"L2"`.
+        level: &'static str,
+        /// The rejected capacity in bytes.
+        bytes: u64,
+        /// The rejected associativity.
+        ways: usize,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -36,6 +46,11 @@ impl fmt::Display for MemError {
                 f,
                 "page table exhausted: {requested_pages} pages requested, \
                  capacity is {capacity_pages}"
+            ),
+            MemError::InvalidCache { level, bytes, ways } => write!(
+                f,
+                "{level} cache of {bytes} bytes and {ways} ways cannot hold one set of \
+                 {LINE_SIZE}-byte lines"
             ),
         }
     }

@@ -35,7 +35,6 @@ pub mod cache;
 pub mod error;
 pub mod placement;
 pub mod stats;
-pub mod substrate;
 pub mod system;
 pub mod timing;
 
@@ -44,6 +43,5 @@ pub use cache::SetAssocCache;
 pub use error::MemError;
 pub use placement::{GpmId, PageTable, Placement};
 pub use stats::{LinkMatrix, Traffic, TrafficClass};
-pub use substrate::{batch_stats, record_batch_group, BatchStats};
-pub use system::{AccessLevel, BatchSession, MemConfig, MemOp, MemorySystem, OpKind};
+pub use system::{AccessLevel, MemConfig, MemorySystem};
 pub use timing::{BandwidthServer, Cycle, NumaTiming, RateSchedule};

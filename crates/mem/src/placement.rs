@@ -148,9 +148,9 @@ impl PageTable {
 
     /// Checks that placing `requested_pages` more pages would not exceed the
     /// dense table's addressable capacity. The simulator lays out all scene
-    /// regions below [`DENSE_LIMIT`] pages (16 GiB); a workload that would
-    /// spill past it indicates a mis-scaled configuration, reported as a
-    /// typed error rather than silent slow-path degradation.
+    /// regions below the dense limit of 2^22 pages (16 GiB); a workload that
+    /// would spill past it indicates a mis-scaled configuration, reported as
+    /// a typed error rather than silent slow-path degradation.
     pub fn check_capacity(&self, requested_pages: u64) -> Result<(), crate::error::MemError> {
         let used = self.placed as u64;
         if used + requested_pages > DENSE_LIMIT {

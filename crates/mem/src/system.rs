@@ -11,6 +11,7 @@
 
 use crate::address::{Addr, Region, LINE_SIZE, PAGE_SIZE};
 use crate::cache::{CacheStats, SetAssocCache};
+use crate::error::MemError;
 use crate::placement::{GpmId, PageTable, Placement};
 use crate::stats::{Traffic, TrafficClass};
 
@@ -33,43 +34,13 @@ impl Default for MemConfig {
     }
 }
 
-/// How one operation of a batched access stream touches the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Read through L1 then L2 (texture/vertex streams).
-    ReadL1,
-    /// Read through L2 only (depth/ROP read paths).
-    ReadL2,
-    /// Write-through with L2-presence coalescing (depth/color output).
-    Write,
-}
-
-/// One operation of a batched access stream: the executor's fragment
-/// quantum collects these per (GPM, triangle) and replays them through
-/// [`MemorySystem::run_batch`] in collection order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemOp {
-    /// Accessed byte address (any byte of the target line).
-    pub addr: Addr,
-    /// Traffic class charged on a DRAM miss.
-    pub class: TrafficClass,
-    /// Which hierarchy path the operation takes.
-    pub kind: OpKind,
-}
-
-/// Per-batch fold state: the line left most-recently-used in each cache by
-/// the previous operation of the batch that touched it. `u64::MAX` is not
-/// line-aligned, so it matches no `line_base`.
-struct FoldState {
-    l1: u64,
-    l2: u64,
-    folded: u64,
-}
-
-impl FoldState {
-    fn new() -> Self {
-        FoldState { l1: u64::MAX, l2: u64::MAX, folded: 0 }
+/// Rejects a cache level that [`SetAssocCache::new`] would panic on: it
+/// needs at least one way and room for one set of `LINE_SIZE`-byte lines.
+fn check_cache_geometry(level: &'static str, bytes: u64, ways: usize) -> Result<(), MemError> {
+    if ways == 0 || bytes / LINE_SIZE < ways as u64 {
+        return Err(MemError::InvalidCache { level, bytes, ways });
     }
+    Ok(())
 }
 
 /// Where a read was serviced.
@@ -105,8 +76,9 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `n_gpms` is outside `1..=16`; use
-    /// [`try_new`](Self::try_new) for a fallible variant.
+    /// Panics if `n_gpms` is outside `1..=16` or a cache level of `cfg`
+    /// cannot hold one set; use [`try_new`](Self::try_new) for a fallible
+    /// variant.
     pub fn new(n_gpms: usize, cfg: MemConfig, default_policy: Placement) -> Self {
         match Self::try_new(n_gpms, cfg, default_policy) {
             Ok(m) => m,
@@ -114,13 +86,15 @@ impl MemorySystem {
         }
     }
 
-    /// Creates the memory system, reporting invalid GPM counts as a typed
-    /// error instead of panicking.
+    /// Creates the memory system, reporting invalid GPM counts and cache
+    /// geometries as typed errors instead of panicking.
     pub fn try_new(
         n_gpms: usize,
         cfg: MemConfig,
         default_policy: Placement,
-    ) -> Result<Self, crate::error::MemError> {
+    ) -> Result<Self, MemError> {
+        check_cache_geometry("L1", cfg.l1_bytes, cfg.l1_ways)?;
+        check_cache_geometry("L2", cfg.l2_bytes, cfg.l2_ways)?;
         Ok(MemorySystem {
             page_table: PageTable::try_new(n_gpms, default_policy)?,
             l1: (0..n_gpms)
@@ -226,142 +200,6 @@ impl MemorySystem {
             self.pending.add_link_only(gpm, home, class, LINE_SIZE);
             self.total.add_link_only(gpm, home, class, LINE_SIZE);
         }
-    }
-
-    /// One read of a batched stream, with same-line run folding. `fold`
-    /// carries the last line this batch left MRU in each cache: an access
-    /// that repeats it is, in the scalar loop, *provably* the MRU fast path
-    /// of [`SetAssocCache::access`] (every hit or fill leaves the touched
-    /// line MRU in its set, and no other line touched this cache since), so
-    /// it folds to a counted MRU hit with bit-identical outcome and state.
-    #[inline]
-    fn read_folded(
-        &mut self,
-        gpm: GpmId,
-        line: Addr,
-        class: TrafficClass,
-        use_l1: bool,
-        fold: &mut FoldState,
-    ) -> AccessLevel {
-        let g = gpm.index();
-        if use_l1 {
-            if line.0 == fold.l1 {
-                self.l1[g].count_mru_hit();
-                fold.folded += 1;
-                return AccessLevel::L1;
-            }
-            fold.l1 = line.0;
-            if self.l1[g].access(line, false).is_hit() {
-                return AccessLevel::L1;
-            }
-        }
-        if line.0 == fold.l2 {
-            self.l2[g].count_mru_hit();
-            fold.folded += 1;
-            return AccessLevel::L2;
-        }
-        fold.l2 = line.0;
-        if self.l2[g].access(line, false).is_hit() {
-            return AccessLevel::L2;
-        }
-        self.read_dram(gpm, line, class)
-    }
-
-    /// One write of a batched stream; same folding rule as
-    /// [`read_folded`](Self::read_folded). Writes probe L2 with
-    /// `write == false` exactly like [`write`](Self::write), so a folded
-    /// repeat is a pure counted hit (absorbed by coalescing).
-    #[inline]
-    fn write_folded(&mut self, gpm: GpmId, line: Addr, class: TrafficClass, fold: &mut FoldState) {
-        let g = gpm.index();
-        if line.0 == fold.l2 {
-            self.l2[g].count_mru_hit();
-            fold.folded += 1;
-            return;
-        }
-        fold.l2 = line.0;
-        if !self.l2[g].access(line, false).is_hit() {
-            self.write_dram(gpm, line, class);
-        }
-    }
-
-    /// Batched [`read`](Self::read): processes `addrs` in order, appending
-    /// each access's [`AccessLevel`] to `out`.
-    ///
-    /// The outcome sequence, cache state, statistics, and traffic ledger
-    /// are bit-identical to calling `read` once per address in the same
-    /// order — the only difference is that runs of consecutive same-line
-    /// accesses amortize set/tag lookup into a counted MRU hit (see
-    /// [`SetAssocCache::count_mru_hit`]). `tests/prop_differential.rs`
-    /// holds this equivalence over arbitrary streams.
-    pub fn read_batch(
-        &mut self,
-        gpm: GpmId,
-        addrs: &[Addr],
-        class: TrafficClass,
-        use_l1: bool,
-        out: &mut Vec<AccessLevel>,
-    ) {
-        let mut fold = FoldState::new();
-        out.reserve(addrs.len());
-        for &a in addrs {
-            let lvl = self.read_folded(gpm, a.line_base(), class, use_l1, &mut fold);
-            out.push(lvl);
-        }
-        crate::substrate::record_batch(addrs.len() as u64, fold.folded);
-    }
-
-    /// Batched [`write`](Self::write): processes `addrs` in order, with the
-    /// same bit-identical-to-scalar contract as
-    /// [`read_batch`](Self::read_batch).
-    pub fn write_batch(&mut self, gpm: GpmId, addrs: &[Addr], class: TrafficClass) {
-        let mut fold = FoldState::new();
-        for &a in addrs {
-            self.write_folded(gpm, a.line_base(), class, &mut fold);
-        }
-        crate::substrate::record_batch(addrs.len() as u64, fold.folded);
-    }
-
-    /// Replays a mixed read/write stream collected into [`MemOp`]s, in
-    /// collection order. This is the executor's per-quantum entry point:
-    /// the fragment loop buffers its texel/depth/color accesses and replays
-    /// them here before the quantum's traffic is drained.
-    ///
-    /// Equivalent, access for access, to dispatching each op through
-    /// [`read`](Self::read)/[`write`](Self::write) in order; the fold
-    /// amortizes same-line runs per cache (texture runs fold over L1
-    /// without being broken by interleaved depth/color ops, which touch
-    /// only L2).
-    pub fn run_batch(&mut self, gpm: GpmId, ops: &[MemOp]) {
-        let mut fold = FoldState::new();
-        for op in ops {
-            let line = op.addr.line_base();
-            match op.kind {
-                OpKind::ReadL1 => {
-                    self.read_folded(gpm, line, op.class, true, &mut fold);
-                }
-                OpKind::ReadL2 => {
-                    self.read_folded(gpm, line, op.class, false, &mut fold);
-                }
-                OpKind::Write => self.write_folded(gpm, line, op.class, &mut fold),
-            }
-        }
-        crate::substrate::record_batch(ops.len() as u64, fold.folded);
-    }
-
-    /// Opens a streaming batch session: the zero-buffer form of
-    /// [`run_batch`](Self::run_batch). The caller issues reads and writes
-    /// directly (no `MemOp` materialization) and the session threads the
-    /// same fold state through them, so same-line runs still collapse into
-    /// counted MRU hits with the bit-identical-to-scalar contract proven
-    /// for the slice APIs.
-    ///
-    /// Soundness requires that *nothing else* touches this system's caches
-    /// while the session is open — the fold's "no other access intervened"
-    /// premise. The borrow checker enforces it: the session holds the
-    /// exclusive borrow of the system.
-    pub fn batch(&mut self, gpm: GpmId) -> BatchSession<'_> {
-        BatchSession { sys: self, gpm, fold: FoldState::new(), ops: 0 }
     }
 
     /// Transfers raw bytes over the link `from → to` (draw command
@@ -478,70 +316,6 @@ impl MemorySystem {
     }
 }
 
-/// A streaming batched-access session from [`MemorySystem::batch`].
-///
-/// Each access dispatches through the same folded core as
-/// [`MemorySystem::run_batch`] — an access that continues a same-line run
-/// in its cache collapses to a counted MRU hit; anything else takes the
-/// exact scalar path. Outcomes, cache state, statistics, and traffic are
-/// bit-identical to calling [`MemorySystem::read`] /
-/// [`MemorySystem::write`] in the same order (pinned by the
-/// `run_batch_matches_scalar_state` differential proptest, which drives
-/// the shared fold core).
-///
-/// [`finish`](Self::finish) returns `(ops, folded)` so callers issuing
-/// many small sessions (the executor opens one per triangle) can aggregate
-/// counts in plain locals and flush them to the process-wide counters once
-/// per render via [`crate::substrate::record_batch_group`].
-pub struct BatchSession<'a> {
-    sys: &'a mut MemorySystem,
-    gpm: GpmId,
-    fold: FoldState,
-    ops: u64,
-}
-
-impl BatchSession<'_> {
-    /// Read through L1 then L2 (texture/vertex streams).
-    #[inline]
-    pub fn read_l1(&mut self, addr: Addr, class: TrafficClass) -> AccessLevel {
-        self.ops += 1;
-        self.sys.read_folded(self.gpm, addr.line_base(), class, true, &mut self.fold)
-    }
-
-    /// Read through L2 only (depth/ROP read paths).
-    ///
-    /// Not folded: depth lines interleave with color writes in the op
-    /// stream, so a same-line *consecutive* L2 run essentially never
-    /// occurs — the scalar path's per-set MRU probe already catches the
-    /// per-set recurrence the coarser per-cache fold cannot. Measured on
-    /// the resilience sweep, folding here costs more in bookkeeping than
-    /// it ever folds. The L1 fold channel is untouched by construction
-    /// (this path never probes L1), so texture folding stays sound.
-    #[inline]
-    pub fn read_l2(&mut self, addr: Addr, class: TrafficClass) -> AccessLevel {
-        self.ops += 1;
-        self.fold.l2 = u64::MAX;
-        self.sys.read(self.gpm, addr, class, false)
-    }
-
-    /// Write-through with L2-presence coalescing (depth/color output).
-    ///
-    /// Not folded, for the same measured reason as
-    /// [`read_l2`](Self::read_l2); the L2 fold channel is re-armed so a
-    /// later folded op cannot mistake this write's line state.
-    #[inline]
-    pub fn write(&mut self, addr: Addr, class: TrafficClass) {
-        self.ops += 1;
-        self.fold.l2 = u64::MAX;
-        self.sys.write(self.gpm, addr, class);
-    }
-
-    /// Ends the session, returning `(ops, folded)` for aggregation.
-    pub fn finish(self) -> (u64, u64) {
-        (self.ops, self.fold.folded)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,119 +396,6 @@ mod tests {
         assert_eq!(p.local_bytes(), LINE_SIZE);
         assert!(m.drain_pending().is_empty());
         assert_eq!(m.total_traffic().local_bytes(), LINE_SIZE);
-    }
-
-    /// A small mixed stream with same-line runs, alternating classes, and
-    /// cross-GPM conflict lines — enough to exercise every fold arm.
-    fn mixed_ops() -> Vec<MemOp> {
-        let mut ops = Vec::new();
-        for i in 0..64u64 {
-            let base = (i / 3) * LINE_SIZE * 7 % (LINE_SIZE * 40);
-            // Texture-style run: repeated same-line L1 reads.
-            for j in 0..(i % 4 + 1) {
-                ops.push(MemOp {
-                    addr: Addr(base + j % LINE_SIZE),
-                    class: TrafficClass::Texture,
-                    kind: OpKind::ReadL1,
-                });
-            }
-            // Depth read + color writes + depth write, ROP-style.
-            ops.push(MemOp {
-                addr: Addr(4096 + base),
-                class: TrafficClass::Depth,
-                kind: OpKind::ReadL2,
-            });
-            ops.push(MemOp {
-                addr: Addr(8192 + base),
-                class: TrafficClass::Color,
-                kind: OpKind::Write,
-            });
-            ops.push(MemOp {
-                addr: Addr(8192 + base + 4),
-                class: TrafficClass::Color,
-                kind: OpKind::Write,
-            });
-            ops.push(MemOp {
-                addr: Addr(4096 + base),
-                class: TrafficClass::Depth,
-                kind: OpKind::Write,
-            });
-        }
-        ops
-    }
-
-    fn apply_scalar(m: &mut MemorySystem, gpm: GpmId, ops: &[MemOp]) -> Vec<AccessLevel> {
-        let mut levels = Vec::new();
-        for op in ops {
-            match op.kind {
-                OpKind::ReadL1 => levels.push(m.read(gpm, op.addr, op.class, true)),
-                OpKind::ReadL2 => levels.push(m.read(gpm, op.addr, op.class, false)),
-                OpKind::Write => m.write(gpm, op.addr, op.class),
-            }
-        }
-        levels
-    }
-
-    #[test]
-    fn run_batch_matches_scalar_loop_state() {
-        let ops = mixed_ops();
-        let mut scalar = sys(2);
-        let mut batched = sys(2);
-        apply_scalar(&mut scalar, GpmId(0), &ops);
-        batched.run_batch(GpmId(0), &ops);
-        assert_eq!(scalar.l1_stats(GpmId(0)), batched.l1_stats(GpmId(0)));
-        assert_eq!(scalar.l2_stats(GpmId(0)), batched.l2_stats(GpmId(0)));
-        assert_eq!(scalar.total_traffic(), batched.total_traffic());
-        assert_eq!(scalar.drain_pending(), batched.drain_pending());
-        // Final cache state must also agree: a fresh probe suffix behaves
-        // identically on both systems.
-        let probes = mixed_ops();
-        assert_eq!(
-            apply_scalar(&mut scalar, GpmId(1), &probes),
-            apply_scalar(&mut batched, GpmId(1), &probes)
-        );
-    }
-
-    #[test]
-    fn read_batch_levels_match_scalar_reads() {
-        let addrs: Vec<Addr> =
-            (0..200u64).map(|i| Addr((i / 5) * LINE_SIZE * 3 % 6000 + i % 64)).collect();
-        let mut scalar = sys(2);
-        let mut batched = sys(2);
-        let want: Vec<AccessLevel> =
-            addrs.iter().map(|&a| scalar.read(GpmId(0), a, TrafficClass::Texture, true)).collect();
-        let mut got = Vec::new();
-        batched.read_batch(GpmId(0), &addrs, TrafficClass::Texture, true, &mut got);
-        assert_eq!(want, got);
-        assert_eq!(scalar.l1_stats(GpmId(0)), batched.l1_stats(GpmId(0)));
-        assert_eq!(scalar.total_traffic(), batched.total_traffic());
-    }
-
-    #[test]
-    fn write_batch_coalesces_like_scalar_writes() {
-        let addrs: Vec<Addr> = (0..120u64).map(|i| Addr((i / 4) * LINE_SIZE + i % 60)).collect();
-        let mut scalar = sys(2);
-        let mut batched = sys(2);
-        for &a in &addrs {
-            scalar.write(GpmId(1), a, TrafficClass::Color);
-        }
-        batched.write_batch(GpmId(1), &addrs, TrafficClass::Color);
-        assert_eq!(scalar.l2_stats(GpmId(1)), batched.l2_stats(GpmId(1)));
-        assert_eq!(scalar.total_traffic(), batched.total_traffic());
-    }
-
-    #[test]
-    fn batch_counters_record_folds() {
-        let before = crate::substrate::batch_stats();
-        let mut m = sys(1);
-        let addrs = vec![Addr(0), Addr(8), Addr(16), Addr(64), Addr(70)];
-        let mut out = Vec::new();
-        m.read_batch(GpmId(0), &addrs, TrafficClass::Texture, true, &mut out);
-        let after = crate::substrate::batch_stats();
-        assert_eq!(after.batches - before.batches, 1);
-        assert_eq!(after.ops - before.ops, 5);
-        // Runs: [0,8,16] folds 2, [64,70] folds 1.
-        assert_eq!(after.folded - before.folded, 3);
     }
 
     #[test]

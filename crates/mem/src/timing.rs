@@ -82,8 +82,9 @@ impl RateSchedule {
     /// clocks only move forward in time, so a cached cursor replaces the
     /// per-call binary search with (usually) zero forward steps. A hint that
     /// does not cover `start` (stale, or out of range) falls back to the
-    /// search, so any `hint` is safe and `0` reproduces [`advance`]
-    /// exactly. Returns `(completion_time, segment_index_at_completion)`.
+    /// search, so any `hint` is safe and `0` reproduces
+    /// [`advance`](Self::advance) exactly. Returns
+    /// `(completion_time, segment_index_at_completion)`.
     pub fn advance_with_hint(&self, hint: usize, start: f64, work: f64) -> (f64, usize) {
         debug_assert!(work >= 0.0 && start >= 0.0);
         let mut pos = start.max(0.0);

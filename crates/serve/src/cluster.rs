@@ -49,7 +49,7 @@ use crate::scheduler::record_trace;
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 
 /// Probe horizon of [`cluster_capacity`], in vsync intervals (matches the
-/// single-server probe in [`crate::capacity`]).
+/// single-server probe in [`crate::capacity()`]).
 pub const CLUSTER_PROBE_FRAMES: u32 = 64;
 
 /// Backstop on the cluster capacity search range.

@@ -29,7 +29,7 @@
 //!   that the edge tier fills with its link byte budget.
 //! * [`qos`] — per-session and aggregate p50/p99/p99.9 frame latency,
 //!   missed-vsync rate, drops, sheds, and goodput.
-//! * [`capacity`] — the steady-state capacity probe behind the
+//! * [`capacity`](mod@capacity) — the steady-state capacity probe behind the
 //!   `figures -- serve` table (`results/serve.csv`).
 //! * [`router`] — the cluster session router: pluggable placement
 //!   (least-loaded, workload-affinity packing, rendezvous consistent

@@ -65,7 +65,7 @@ pub const SHED_TIME_BUDGET: f64 = 0.5;
 pub const SERVE_MISS_BUDGET: f64 = 0.05;
 
 /// The single-server serving objectives over the metrics
-/// [`simulate_metered`](crate::scheduler::simulate_metered) emits.
+/// [`simulate_metered`] emits.
 pub fn serve_slos(vsync: Cycle) -> Vec<Slo> {
     vec![
         Slo {
@@ -89,8 +89,7 @@ pub fn serve_slos(vsync: Cycle) -> Vec<Slo> {
 }
 
 /// The fleet objectives over the metrics
-/// [`simulate_cluster_metered`](crate::cluster::simulate_cluster_metered)
-/// emits, at the given missed-vsync budget.
+/// [`simulate_cluster_metered`] emits, at the given missed-vsync budget.
 pub fn cluster_slos(miss_budget: f64) -> Vec<Slo> {
     vec![
         Slo {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate: everything CI would complain about, in one command.
 #
-#   ./scripts/check.sh          # build + tests + clippy + fmt + golden digest + perfbench
+#   ./scripts/check.sh          # build + tests + clippy + fmt + rustdoc + golden digest + perfbench
 #
 # Run from anywhere; the script cds to the repo root.
 set -euo pipefail
@@ -26,6 +26,11 @@ cargo clippy --lib -p oovr-scene -p oovr-mem -p oovr-gpu -p oovr-frameworks -p o
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# A deletion that leaves an intra-doc link dangling, or a public doc that
+# links to a private item, fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> figures verify (golden digest of fault-free tables)"
 cargo run -q --release -p oovr-bench --bin figures -- verify
 
@@ -44,10 +49,10 @@ echo "==> figures smoke run (reduced scale: fig15 + resilience + cluster + chaos
 # pre-commit hook. The run is timed against
 # scripts/perf_baseline.txt (committed seconds for this smoke): a
 # wall-clock blow-up past ~2x the baseline fails the gate loudly, so
-# substrate regressions (a broken fold, a classifier that stops
-# accepting, a cluster-scheduler rescan creeping back in, an unbounded
-# per-session pose cache) surface here instead of in a multi-minute
-# figures run.
+# substrate regressions (a cache probe that loses its MRU fast path, a
+# classifier that stops accepting, a cluster-scheduler rescan creeping
+# back in, an unbounded per-session pose cache) surface here instead of
+# in a multi-minute figures run.
 SMOKE_START=$(date +%s.%N)
 cargo run -q --release -p oovr-bench --bin figures -- --scale 0.05 fig15 resilience cluster chaos temporal metrics health edge
 SMOKE_SECS=$(awk -v a="$SMOKE_START" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')

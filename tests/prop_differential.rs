@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use oovr_mem::{
-    AccessLevel, Addr, GpmId, MemConfig, MemOp, MemorySystem, OpKind, PageTable, Placement, Region,
-    SetAssocCache, Traffic, TrafficClass, LINE_SIZE, PAGE_SIZE,
+    AccessLevel, Addr, GpmId, MemConfig, MemorySystem, PageTable, Placement, Region, SetAssocCache,
+    Traffic, TrafficClass, LINE_SIZE, PAGE_SIZE,
 };
 
 // ---------------------------------------------------------------------------
@@ -393,33 +393,41 @@ proptest! {
     /// swap-based epoch drain — produces bit-identical access levels,
     /// per-epoch traffic ledgers, and cumulative per-class per-link totals
     /// against the reference composition that allocates a fresh ledger per
-    /// epoch.
+    /// epoch. Each generated read or write repeats its line 1–6 times at
+    /// varying in-line offsets, the same-line run shape of the executor's
+    /// texture and color streams, and a closing probe sweep over every line
+    /// pins the final cache contents (tags and LRU order), not just stats.
     #[test]
     fn memory_system_matches_reference(
         n_gpms in 1usize..5,
-        ops in prop::collection::vec((0u8..8, 0u64..1 << 15, 0u8..4, 0u8..4), 1..500),
+        ops in prop::collection::vec(((0u8..8, 0u8..6), 0u64..1 << 15, 0u8..4, 0u8..4), 1..500),
     ) {
         // Small caches so misses, evictions and remote fills all occur.
         let cfg = MemConfig { l1_bytes: 2048, l1_ways: 2, l2_bytes: 4096, l2_ways: 4 };
         let mut opt = MemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
         let mut reference = RefMemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
         let mut scratch = Traffic::new(n_gpms);
-        for (i, &(op, a, gpm, class_sel)) in ops.iter().enumerate() {
+        for (i, &((op, run), a, gpm, class_sel)) in ops.iter().enumerate() {
             let gpm = GpmId(gpm % n_gpms as u8);
             let class = CLASSES[class_sel as usize];
-            let addr = Addr(a);
+            let line = a - a % LINE_SIZE;
+            let run_addrs = (0..u64::from(run) + 1).map(|r| Addr(line + (a + r * 17) % LINE_SIZE));
             match op {
                 0..=3 => {
                     let use_l1 = op % 2 == 0;
-                    prop_assert_eq!(
-                        opt.read(gpm, addr, class, use_l1),
-                        reference.read(gpm, addr, class, use_l1),
-                        "read divergence at op {} addr {}", i, a
-                    );
+                    for addr in run_addrs {
+                        prop_assert_eq!(
+                            opt.read(gpm, addr, class, use_l1),
+                            reference.read(gpm, addr, class, use_l1),
+                            "read divergence at op {} addr {}", i, addr.0
+                        );
+                    }
                 }
                 4 | 5 => {
-                    opt.write(gpm, addr, class);
-                    reference.write(gpm, addr, class);
+                    for addr in run_addrs {
+                        opt.write(gpm, addr, class);
+                        reference.write(gpm, addr, class);
+                    }
                 }
                 _ => {
                     // Epoch boundary: drain both and compare ledgers. The
@@ -451,128 +459,23 @@ proptest! {
             opt.page_table().resident_bytes(),
             &reference.page_table.resident[..]
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched substrate differentials: the batch APIs against the retained
-// scalar paths, and the tiled rasterizer against the per-pixel reference.
-// ---------------------------------------------------------------------------
-
-/// Expands a generated spec into a run-heavy op stream: each entry emits
-/// `run` accesses to the same cache line (with varying in-line offsets, so
-/// line folding — not address equality — is what's under test), which is
-/// the shape the executor's texture/color streams take.
-fn expand_ops(raw: &[(u8, u16, u8, u8)]) -> Vec<MemOp> {
-    let mut ops = Vec::new();
-    for &(kind_sel, base, run, class_sel) in raw {
-        let kind = match kind_sel % 3 {
-            0 => OpKind::ReadL1,
-            1 => OpKind::ReadL2,
-            _ => OpKind::Write,
-        };
-        let class = CLASSES[(class_sel % 4) as usize];
-        for r in 0..u64::from(run % 6) + 1 {
-            let addr = Addr(u64::from(base) * LINE_SIZE + (r * 17) % LINE_SIZE);
-            ops.push(MemOp { addr, class, kind });
-        }
-    }
-    ops
-}
-
-/// Applies one op through the retained scalar `read`/`write` calls.
-fn apply_scalar_op(sys: &mut MemorySystem, gpm: GpmId, op: &MemOp) -> Option<AccessLevel> {
-    match op.kind {
-        OpKind::ReadL1 => Some(sys.read(gpm, op.addr, op.class, true)),
-        OpKind::ReadL2 => Some(sys.read(gpm, op.addr, op.class, false)),
-        OpKind::Write => {
-            sys.write(gpm, op.addr, op.class);
-            None
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `run_batch` over arbitrary interleaved, run-heavy op streams leaves
-    /// the memory system in a state bit-identical to the scalar loop: same
-    /// per-epoch and cumulative traffic, same cache statistics, and the
-    /// same cache *contents* as observed by a deterministic probe suffix.
-    /// Folding an access that is not actually the MRU line of its set (e.g.
-    /// a broken MRU-demotion order in the cache) diverges the probe.
-    #[test]
-    fn run_batch_matches_scalar_state(
-        n_gpms in 1usize..5,
-        raw in prop::collection::vec((0u8..6, 0u16..256, 0u8..6, 0u8..4), 1..120),
-        chunk in 1usize..40,
-        gpm_sel in 0u8..4,
-    ) {
-        // Small caches so runs straddle evictions and remote fills.
-        let cfg = MemConfig { l1_bytes: 1024, l1_ways: 2, l2_bytes: 2048, l2_ways: 4 };
-        let mut batched = MemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
-        let mut scalar = MemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
-        let gpm = GpmId(gpm_sel % n_gpms as u8);
-        let ops = expand_ops(&raw);
-        let mut drained_b = Traffic::new(n_gpms);
-        let mut drained_s = Traffic::new(n_gpms);
-        for (i, c) in ops.chunks(chunk).enumerate() {
-            batched.run_batch(gpm, c);
-            for op in c {
-                apply_scalar_op(&mut scalar, gpm, op);
-            }
-            // Epoch boundary per chunk, as the executor drains per quantum.
-            batched.drain_pending_into(&mut drained_b);
-            scalar.drain_pending_into(&mut drained_s);
-            prop_assert_eq!(&drained_b, &drained_s, "epoch ledger divergence at chunk {}", i);
-        }
-        prop_assert_eq!(batched.total_traffic(), scalar.total_traffic());
-        for g in GpmId::all(n_gpms) {
-            prop_assert_eq!(batched.l1_stats(g), scalar.l1_stats(g), "L1 stats for {}", g);
-            prop_assert_eq!(batched.l2_stats(g), scalar.l2_stats(g), "L2 stats for {}", g);
-        }
-        // Probe suffix: identical scalar reads must see identical levels,
-        // which pins the cache contents (tags, LRU order), not just stats.
-        for base in 0u64..256 {
-            let addr = Addr(base * LINE_SIZE);
+        // Probe sweep: identical reads on both systems must see identical
+        // levels, which a wrong tag or LRU order anywhere would break.
+        for line in (0..1u64 << 15).step_by(LINE_SIZE as usize) {
             for g in GpmId::all(n_gpms) {
                 prop_assert_eq!(
-                    batched.read(g, addr, TrafficClass::Vertex, true),
-                    scalar.read(g, addr, TrafficClass::Vertex, true),
-                    "probe divergence at line {} gpm {}", base, g
+                    opt.read(g, Addr(line), TrafficClass::Vertex, true),
+                    reference.read(g, Addr(line), TrafficClass::Vertex, true),
+                    "probe divergence at line {} gpm {}", line / LINE_SIZE, g
                 );
             }
         }
     }
-
-    /// `read_batch` returns the same `AccessLevel` sequence the scalar
-    /// `read` loop produces, element for element.
-    #[test]
-    fn read_batch_levels_match_scalar(
-        n_gpms in 1usize..5,
-        raw in prop::collection::vec((0u16..128, 0u8..6), 1..80),
-        use_l1_sel in 0u8..2,
-        gpm_sel in 0u8..4,
-    ) {
-        let use_l1 = use_l1_sel == 1;
-        let cfg = MemConfig { l1_bytes: 1024, l1_ways: 2, l2_bytes: 2048, l2_ways: 4 };
-        let mut batched = MemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
-        let mut scalar = MemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
-        let gpm = GpmId(gpm_sel % n_gpms as u8);
-        let addrs: Vec<Addr> = raw
-            .iter()
-            .flat_map(|&(base, run)| {
-                (0..u64::from(run % 4) + 1)
-                    .map(move |r| Addr(u64::from(base) * LINE_SIZE + (r * 31) % LINE_SIZE))
-            })
-            .collect();
-        let mut levels = Vec::new();
-        batched.read_batch(gpm, &addrs, TrafficClass::Texture, use_l1, &mut levels);
-        let expected: Vec<AccessLevel> =
-            addrs.iter().map(|&a| scalar.read(gpm, a, TrafficClass::Texture, use_l1)).collect();
-        prop_assert_eq!(levels, expected);
-    }
 }
+
+// ---------------------------------------------------------------------------
+// Tiled rasterizer against the per-pixel reference.
+// ---------------------------------------------------------------------------
 
 /// One recorded quad emission: `(x, y, mask, uv.x bits, uv.y bits, z bits)`.
 type QuadRecord = (u32, u32, u8, u32, u32, u32);
