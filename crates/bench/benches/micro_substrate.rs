@@ -10,7 +10,7 @@ use oovr_mem::{
     Addr, GpmId, MemConfig, MemorySystem, PageTable, Placement, SetAssocCache, Traffic,
     TrafficClass,
 };
-use oovr_scene::{benchmarks, Eye, ScreenTriangle, TextureId, Vec2};
+use oovr_scene::{benchmarks, Eye};
 
 fn bench(c: &mut Criterion) {
     // Cache probe throughput: streaming and thrashing patterns.
@@ -72,29 +72,6 @@ fn bench(c: &mut Criterion) {
             i = (i + 64) % (8 * 1024 * 1024);
             black_box(mem.read(GpmId((i / 64 % 4) as u8), Addr(i), TrafficClass::Texture, true))
         })
-    });
-
-    // Tiled raster: a 128×128 right triangle is mostly trivially
-    // accepted/rejected tiles, vs a comb of thin slivers that is all
-    // edge-crossing (per-pixel) tiles.
-    let full_cover = ScreenTriangle {
-        v: [Vec2::new(0.0, 0.0), Vec2::new(128.0, 0.0), Vec2::new(0.0, 128.0)],
-        uv: [Vec2::new(0.0, 0.0), Vec2::new(64.0, 0.0), Vec2::new(0.0, 64.0)],
-        z: 0.5,
-        texture: TextureId(0),
-    };
-    c.bench_function("raster_tile_full_cover", |b| {
-        b.iter(|| black_box(fragment_count(&full_cover, None, 128, 128)))
-    });
-
-    let edge_crossing = ScreenTriangle {
-        v: [Vec2::new(0.3, 0.7), Vec2::new(127.3, 120.9), Vec2::new(2.1, 9.4)],
-        uv: full_cover.uv,
-        z: 0.5,
-        texture: TextureId(0),
-    };
-    c.bench_function("raster_tile_edge_crossing", |b| {
-        b.iter(|| black_box(fragment_count(&edge_crossing, None, 128, 128)))
     });
 
     // Rasterizer throughput on a mid-size triangle.

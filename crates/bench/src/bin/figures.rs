@@ -143,12 +143,10 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale requires a number in (0,1]");
-            }
+            "--scale" => match parse_scale(args.next().as_deref()) {
+                Ok(s) => scale = s,
+                Err(why) => exit_usage(Some(&why)),
+            },
             "--csv" => {
                 csv_dir = Some(args.next().expect("--csv requires a directory"));
             }
@@ -163,27 +161,11 @@ fn main() {
         }
     }
     let unknown: Vec<&str> = ids.iter().map(String::as_str).filter(|id| !known_id(id)).collect();
-    if ids.is_empty() || !unknown.is_empty() {
-        if !unknown.is_empty() {
-            eprintln!("figures: unknown id(s): {}", unknown.join(" "));
-        }
-        eprintln!(
-            "usage: figures [--scale S] [--csv DIR] <id>... | all | ablations | serve | cluster \
-             | chaos | temporal | metrics | health | edge | perf | verify \
-             | trace <scheme> <workload> | trace-check"
-        );
-        eprintln!(
-            "ids: {} {} {} {}",
-            ALL_IDS.join(" "),
-            ABLATION_IDS.join(" "),
-            RESILIENCE_IDS.join(" "),
-            SPECIAL_IDS.join(" ")
-        );
-        eprintln!(
-            "trace schemes: baseline object ooapp oovr oovr-res serve cluster temporal edge; \
-             workloads: demo or a table3 name"
-        );
-        std::process::exit(2);
+    if !unknown.is_empty() {
+        exit_usage(Some(&format!("unknown id(s): {}", unknown.join(" "))));
+    }
+    if ids.is_empty() {
+        exit_usage(None);
     }
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
@@ -206,6 +188,41 @@ fn main() {
         eprintln!("figures: {} experiment(s) failed: {}", failures.len(), failures.join(" "));
         std::process::exit(1);
     }
+}
+
+/// Parses the value of `--scale`: a finite number in (0, 1], as the usage
+/// line promises (`BenchmarkSpec::scaled` panics outside that range).
+fn parse_scale(arg: Option<&str>) -> Result<f64, String> {
+    let arg = arg.ok_or("--scale requires a number in (0,1]")?;
+    match arg.parse::<f64>() {
+        // NaN fails both comparisons and infinity fails the upper bound.
+        Ok(s) if s > 0.0 && s <= 1.0 => Ok(s),
+        _ => Err(format!("--scale must be a number in (0,1], got {arg:?}")),
+    }
+}
+
+/// Prints `why` (if any) and the usage text, then exits with status 2.
+fn exit_usage(why: Option<&str>) -> ! {
+    if let Some(why) = why {
+        eprintln!("figures: {why}");
+    }
+    eprintln!(
+        "usage: figures [--scale S] [--csv DIR] <id>... | all | ablations | serve | cluster \
+         | chaos | temporal | metrics | health | edge | perf | verify \
+         | trace <scheme> <workload> | trace-check"
+    );
+    eprintln!(
+        "ids: {} {} {} {}",
+        ALL_IDS.join(" "),
+        ABLATION_IDS.join(" "),
+        RESILIENCE_IDS.join(" "),
+        SPECIAL_IDS.join(" ")
+    );
+    eprintln!(
+        "trace schemes: baseline object ooapp oovr oovr-res serve cluster temporal edge; \
+         workloads: demo or a table3 name"
+    );
+    std::process::exit(2);
 }
 
 /// Runs one experiment id isolated behind `catch_unwind`, validating table
@@ -1580,15 +1597,6 @@ fn run_perf(scale: f64) {
         serve_cache.stream_hits, serve_cache.stream_misses
     );
 
-    // Raster-tile counters: how many tiles skipped per-pixel work. These
-    // explain the wall-clocks above; a regression (accepted tiles toward 0)
-    // shows up here first.
-    let ts = oovr_gpu::raster_tile_stats();
-    println!(
-        "raster tiles     {} accepted, {} rejected, {} per-pixel",
-        ts.accepted, ts.rejected, ts.partial
-    );
-
     // Flight-recorder overhead: the same OO-VR frame rendered untraced vs
     // with the recorder attached. Traced renders bypass the render cache,
     // so both arms do real work every repetition. The overhead is ~0.2%
@@ -1682,10 +1690,6 @@ fn run_perf(scale: f64) {
     json.push_str(&format!(
         "  \"serve_cache\": {{\"stream_hits\": {}, \"stream_misses\": {}}},\n",
         serve_cache.stream_hits, serve_cache.stream_misses
-    ));
-    json.push_str(&format!(
-        "  \"raster_tiles\": {{\"accepted\": {}, \"rejected\": {}, \"partial\": {}}},\n",
-        ts.accepted, ts.rejected, ts.partial
     ));
     json.push_str(&format!(
         "  \"trace_untraced_seconds\": {untraced_s:.6},\n  \"trace_traced_seconds\": {traced_s:.6},\n  \"trace_overhead_seconds\": {trace_overhead_s:.6},\n"
@@ -1796,6 +1800,33 @@ fn print_overhead() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `--scale` accepts exactly the finite values in (0, 1]; anything else
+    /// is a usage error, not a panic inside `BenchmarkSpec::scaled`.
+    #[test]
+    fn parse_scale_accepts_only_finite_values_in_unit_interval() {
+        let cases: [(Option<&str>, Option<f64>); 12] = [
+            (Some("1"), Some(1.0)),
+            (Some("0.05"), Some(0.05)),
+            (Some("1e-3"), Some(1e-3)),
+            (Some("0"), None),
+            (Some("-0"), None),
+            (Some("-1"), None),
+            (Some("1.0001"), None),
+            (Some("nan"), None),
+            (Some("inf"), None),
+            (Some("abc"), None),
+            (Some(""), None),
+            (None, None),
+        ];
+        for (arg, want) in cases {
+            match (parse_scale(arg), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "{arg:?}"),
+                (Err(why), None) => assert!(why.contains("(0,1]"), "{arg:?}: {why}"),
+                (got, want) => panic!("{arg:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
 
     /// `figures -- serve`/`trace serve` on an unknown workload must name
     /// every valid choice, not just reject the input.

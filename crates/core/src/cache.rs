@@ -18,14 +18,21 @@
 //!   cache hit returns a bit-identical [`FrameReport`].
 //!
 //! Invalidation is structural: any change to a spec, scheme or config field
-//! lands in the digest and misses. Nothing is ever evicted within a process
-//! (a full `figures` run retains a few hundred small reports). Experiments
-//! that construct bespoke executors or render warm multi-frame sequences
-//! (`smp_validation`, the ablations, `steady_state`) bypass the cache.
+//! lands in the digest and misses. Nothing is ever evicted from a
+//! [`RenderCache`] (a full `figures` run retains a few hundred small
+//! reports). Experiments that construct bespoke executors or render warm
+//! multi-frame sequences (`smp_validation`, the ablations, `steady_state`)
+//! bypass the cache.
+//!
+//! Both tables are [`Memo`]s: each key is filled by exactly one caller while
+//! concurrent callers for the same key wait for that result, so `par_map`
+//! workers never render the same frame twice. The free functions use the
+//! process-default [`RenderCache::global`]; tests build their own handle so
+//! its counters belong to them alone.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use oovr_frameworks::RenderScheme as _;
 use oovr_gpu::{FaultPlan, FrameReport, GpuConfig};
@@ -56,7 +63,68 @@ impl std::ops::Deref for SceneHandle {
     }
 }
 
-/// Hit/miss counters for the process-wide cache (observability + tests).
+/// A content-addressed memo table with single-flight fills.
+///
+/// Each key owns a [`OnceLock`]: the first caller computes the value, and
+/// concurrent callers for the same key block until it is there instead of
+/// computing it again. The lookup lock is held only to find or insert the
+/// key's cell, never while computing.
+#[derive(Debug)]
+pub struct Memo<V> {
+    table: Mutex<BTreeMap<[u8; 32], Arc<OnceLock<V>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<V: Clone> Memo<V> {
+    /// An empty table with zeroed counters.
+    pub const fn new() -> Self {
+        Memo {
+            table: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The value for `key`, computed by `f` on the first request. A request
+    /// that finds the value (or waits for another caller's fill) counts as
+    /// a hit; the one that ran `f` counts as the key's only miss.
+    pub fn get_or_compute(&self, key: [u8; 32], f: impl FnOnce() -> V) -> V {
+        // A poisoned lock only means a sibling thread panicked while
+        // inserting a cell; the map itself is still a valid memo table.
+        let cell = Arc::clone(
+            self.table.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+        );
+        let mut computed = false;
+        let v = cell
+            .get_or_init(|| {
+                computed = true;
+                f()
+            })
+            .clone();
+        let counter = if computed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        v
+    }
+
+    /// Requests answered without running the fill.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Requests that ran the fill (one per distinct key).
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
+impl<V: Clone> Default for Memo<V> {
+    fn default() -> Self {
+        Memo::new()
+    }
+}
+
+/// Hit/miss counters of one [`RenderCache`] (observability + tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenderCacheStats {
     /// Scenes built (scene-cache misses).
@@ -67,79 +135,83 @@ pub struct RenderCacheStats {
     pub frame_misses: u64,
 }
 
-struct Store {
-    scenes: Mutex<HashMap<[u8; 32], Arc<Scene>>>,
-    frames: Mutex<HashMap<[u8; 32], FrameReport>>,
-    scene_builds: AtomicU64,
-    frame_hits: AtomicU64,
-    frame_misses: AtomicU64,
+/// The scene and frame-render memo tables, with their counters.
+#[derive(Debug, Default)]
+pub struct RenderCache {
+    scenes: Memo<Arc<Scene>>,
+    frames: Memo<FrameReport>,
 }
 
-fn store() -> &'static Store {
-    static STORE: OnceLock<Store> = OnceLock::new();
-    STORE.get_or_init(|| Store {
-        scenes: Mutex::new(HashMap::new()),
-        frames: Mutex::new(HashMap::new()),
-        scene_builds: AtomicU64::new(0),
-        frame_hits: AtomicU64::new(0),
-        frame_misses: AtomicU64::new(0),
-    })
+impl RenderCache {
+    /// An empty cache.
+    pub const fn new() -> Self {
+        RenderCache { scenes: Memo::new(), frames: Memo::new() }
+    }
+
+    /// The process-default cache behind this module's free functions.
+    pub fn global() -> &'static RenderCache {
+        static GLOBAL: RenderCache = RenderCache::new();
+        &GLOBAL
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> RenderCacheStats {
+        RenderCacheStats {
+            scene_builds: self.scenes.misses(),
+            frame_hits: self.frames.hits(),
+            frame_misses: self.frames.misses(),
+        }
+    }
+
+    /// The scene for `spec`, built on first use and shared thereafter.
+    pub fn scene_for(&self, spec: &BenchmarkSpec) -> SceneHandle {
+        let fp = spec_digest(spec);
+        let scene = self.scenes.get_or_compute(fp, || Arc::new(spec.build()));
+        SceneHandle { scene, fingerprint: fp }
+    }
+
+    /// Renders `scene` under `kind`/`cfg`, memoized. Cache hits return a
+    /// clone of the first render's report; determinism makes that
+    /// bit-identical to re-rendering.
+    pub fn render(&self, kind: SchemeKind, scene: &SceneHandle, cfg: &GpuConfig) -> FrameReport {
+        let key = frame_key(scene.fingerprint(), scheme_tag(kind), None, cfg);
+        self.frames.get_or_compute(key, || kind.render(scene, cfg))
+    }
+
+    /// Renders `scene` under OO-VR with runtime countermeasures and the
+    /// given frame deadline, memoized (the deadline participates in the
+    /// key).
+    pub fn render_resilient(
+        &self,
+        deadline_cycles: u64,
+        scene: &SceneHandle,
+        cfg: &GpuConfig,
+    ) -> FrameReport {
+        let key = frame_key(scene.fingerprint(), RESILIENT_TAG, Some(deadline_cycles), cfg);
+        self.frames.get_or_compute(key, || {
+            OoVr::resilient_with_deadline(deadline_cycles).render_frame(scene, cfg)
+        })
+    }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned lock only means a sibling experiment thread panicked while
-    // inserting; the map itself is still a valid memo table.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Current cache counters.
+/// Counters of the process-default cache.
 pub fn stats() -> RenderCacheStats {
-    let s = store();
-    RenderCacheStats {
-        scene_builds: s.scene_builds.load(Ordering::Relaxed),
-        frame_hits: s.frame_hits.load(Ordering::Relaxed),
-        frame_misses: s.frame_misses.load(Ordering::Relaxed),
-    }
+    RenderCache::global().stats()
 }
 
-/// The scene for `spec`, built on first use and shared thereafter.
+/// [`RenderCache::scene_for`] on the process-default cache.
 pub fn scene_for(spec: &BenchmarkSpec) -> SceneHandle {
-    let fp = spec_digest(spec);
-    if let Some(scene) = lock(&store().scenes).get(&fp) {
-        return SceneHandle { scene: Arc::clone(scene), fingerprint: fp };
-    }
-    // Build outside the lock; a concurrent duplicate build is benign (both
-    // produce identical scenes) and the first insert wins.
-    let built = Arc::new(spec.build());
-    store().scene_builds.fetch_add(1, Ordering::Relaxed);
-    let scene = Arc::clone(lock(&store().scenes).entry(fp).or_insert(built));
-    SceneHandle { scene, fingerprint: fp }
+    RenderCache::global().scene_for(spec)
 }
 
-/// Renders `scene` under `kind`/`cfg`, memoized. Cache hits return a clone
-/// of the first render's report; determinism makes that bit-identical to
-/// re-rendering.
+/// [`RenderCache::render`] on the process-default cache.
 pub fn render(kind: SchemeKind, scene: &SceneHandle, cfg: &GpuConfig) -> FrameReport {
-    let key = frame_key(scene.fingerprint(), scheme_tag(kind), None, cfg);
-    memoized(key, || kind.render(scene, cfg))
+    RenderCache::global().render(kind, scene, cfg)
 }
 
-/// Renders `scene` under OO-VR with runtime countermeasures and the given
-/// frame deadline, memoized (the deadline participates in the key).
+/// [`RenderCache::render_resilient`] on the process-default cache.
 pub fn render_resilient(deadline_cycles: u64, scene: &SceneHandle, cfg: &GpuConfig) -> FrameReport {
-    let key = frame_key(scene.fingerprint(), RESILIENT_TAG, Some(deadline_cycles), cfg);
-    memoized(key, || OoVr::resilient_with_deadline(deadline_cycles).render_frame(scene, cfg))
-}
-
-fn memoized(key: [u8; 32], f: impl FnOnce() -> FrameReport) -> FrameReport {
-    if let Some(r) = lock(&store().frames).get(&key) {
-        store().frame_hits.fetch_add(1, Ordering::Relaxed);
-        return r.clone();
-    }
-    let r = f();
-    store().frame_misses.fetch_add(1, Ordering::Relaxed);
-    lock(&store().frames).entry(key).or_insert_with(|| r.clone());
-    r
+    RenderCache::global().render_resilient(deadline_cycles, scene, cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -342,29 +414,59 @@ mod tests {
 
     #[test]
     fn scene_cache_shares_and_render_cache_hits() {
-        let s1 = scene_for(&spec());
-        let s2 = scene_for(&spec());
+        let cache = RenderCache::new();
+        let s1 = cache.scene_for(&spec());
+        let s2 = cache.scene_for(&spec());
         assert!(Arc::ptr_eq(&s1.scene, &s2.scene));
+        assert_eq!(cache.stats().scene_builds, 1);
 
         let cfg = GpuConfig::default();
-        let before = stats();
-        let a = render(SchemeKind::Baseline, &s1, &cfg);
-        let b = render(SchemeKind::Baseline, &s2, &cfg);
-        let after = stats();
+        let a = cache.render(SchemeKind::Baseline, &s1, &cfg);
+        let b = cache.render(SchemeKind::Baseline, &s2, &cfg);
+        let stats = cache.stats();
         assert_eq!(a.frame_cycles, b.frame_cycles);
         assert_eq!(a.inter_gpm_bytes(), b.inter_gpm_bytes());
-        assert_eq!(after.frame_misses - before.frame_misses, 1);
-        assert!(after.frame_hits > before.frame_hits);
+        assert_eq!(stats.frame_misses, 1);
+        assert_eq!(stats.frame_hits, 1);
     }
 
     #[test]
     fn resilient_renders_key_on_deadline() {
-        let s = scene_for(&spec());
+        let cache = RenderCache::new();
+        let s = cache.scene_for(&spec());
         let cfg = GpuConfig::default();
-        let before = stats();
-        let _ = render_resilient(1_000_000, &s, &cfg);
-        let _ = render_resilient(2_000_000, &s, &cfg);
-        let after = stats();
-        assert_eq!(after.frame_misses - before.frame_misses, 2);
+        let _ = cache.render_resilient(1_000_000, &s, &cfg);
+        let _ = cache.render_resilient(2_000_000, &s, &cfg);
+        assert_eq!(cache.stats().frame_misses, 2);
+    }
+
+    #[test]
+    fn memo_fills_each_key_once_under_concurrent_requests() {
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        const N: usize = 8;
+        let memo = Memo::<u64>::new();
+        let inits = AtomicU64::new(0);
+        let barrier = Barrier::new(N);
+        let values: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..N)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        memo.get_or_compute([7; 32], || {
+                            inits.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_millis(50));
+                            42
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
+        });
+        assert!(values.iter().all(|&v| v == 42));
+        assert_eq!(inits.load(Ordering::Relaxed), 1);
+        assert_eq!(memo.misses(), 1);
+        assert_eq!(memo.hits(), N as u64 - 1);
     }
 }

@@ -60,8 +60,6 @@ pub use executor::{
 pub use fault::{CompiledFault, FaultPlan, FaultScenario, VR_DEADLINE_CYCLES};
 pub use layout::{SceneLayout, ZBuffer};
 pub use oovr_mem::RateSchedule;
-pub use raster::{
-    fragment_count, raster_tile_stats, rasterize, rasterize_scalar, QuadFragment, RasterTileStats,
-};
+pub use raster::{fragment_count, raster_tile_stats, rasterize, QuadFragment, RasterTileStats};
 pub use report::{FrameReport, WorkCounts, IMBALANCE_SENTINEL};
 pub use tasks::{eye_clip, geometry_work, EyeMode, GeometryWork, RenderUnit};

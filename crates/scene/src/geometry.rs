@@ -166,35 +166,6 @@ impl TriSampler<'_> {
         self.degenerate
     }
 
-    /// Winding: `true` when counter-clockwise (`2A > 0`).
-    pub fn is_ccw(&self) -> bool {
-        self.ccw
-    }
-
-    /// UV for a pixel the caller has *proven* covered (e.g. a trivially
-    /// accepted raster tile): performs bit-for-bit the arithmetic of the
-    /// `Some` arm of [`sample`](Self::sample) while skipping the edge-sign
-    /// and `w2` tests that proof already decided. Debug builds assert the
-    /// coverage claim.
-    #[inline]
-    pub fn sample_covered(&self, px: u32, py: u32) -> Vec2 {
-        debug_assert!(
-            self.sample(px, py).is_some(),
-            "sample_covered on uncovered pixel ({px},{py})"
-        );
-        let p = Vec2::new(px as f32 + 0.5 + 1.0 / 64.0, py as f32 + 0.5 + 1.0 / 128.0);
-        let [a, b, c] = self.tri.v;
-        let n0 = (b.x - p.x) * (c.y - p.y) - (c.x - p.x) * (b.y - p.y);
-        let n1 = (c.x - p.x) * (a.y - p.y) - (a.x - p.x) * (c.y - p.y);
-        let w0 = n0 / self.d;
-        let w1 = n1 / self.d;
-        let w2 = 1.0 - w0 - w1;
-        Vec2::new(
-            w0 * self.tri.uv[0].x + w1 * self.tri.uv[1].x + w2 * self.tri.uv[2].x,
-            w0 * self.tri.uv[0].y + w1 * self.tri.uv[1].y + w2 * self.tri.uv[2].y,
-        )
-    }
-
     /// Coverage/UV test for pixel `(px, py)`; identical results to
     /// [`ScreenTriangle::sample`].
     #[inline]

@@ -168,7 +168,7 @@ pub fn capacity(
 /// Doubling + bisection over `feas`, seeded at the utilization bound
 /// (`N·cost = V`) — always feasible for staggered implicit-deadline EDF
 /// with per-frame costs at most `cost`.
-fn search(v: Cycle, cost: Cycle, mut feas: impl FnMut(u32) -> bool) -> u32 {
+pub(crate) fn search(v: Cycle, cost: Cycle, mut feas: impl FnMut(u32) -> bool) -> u32 {
     if !feas(1) {
         return 0;
     }

@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{calibrate_discounted, DEFAULT_HEADROOM};
-use crate::capacity::MISS_BUDGET;
+use crate::capacity::{search, MISS_BUDGET};
 use crate::router::{Placement, RouterConfig, ServerView};
 use crate::scheduler::record_trace;
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
@@ -51,9 +51,6 @@ use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 /// Probe horizon of [`cluster_capacity`], in vsync intervals (matches the
 /// single-server probe in [`crate::capacity()`]).
 pub const CLUSTER_PROBE_FRAMES: u32 = 64;
-
-/// Backstop on the cluster capacity search range.
-const MAX_SESSIONS: u32 = 1 << 22;
 
 /// Configuration of one cluster serving run.
 #[derive(Debug, Clone)]
@@ -968,31 +965,11 @@ pub fn cluster_capacity(
     let st = resolve_streams(mix, gpu, cfg);
     let v = cfg.vsync_cycles.max(1);
     let switch_tax = ((v as f64) * cfg.switch_frac.max(0.0)) as u64;
-    let probe = |m: u32| cluster_feasible(m, &st, n, v, switch_tax, policy, cfg.seed);
-    if !probe(1) {
-        return 0;
-    }
-    // Seed at the utilization bound over the cheapest stream, bracket by
-    // doubling, then bisect.
+    // Seed at the utilization bound over the cheapest stream.
     let min_steady = st.steady.iter().copied().min().unwrap_or(1).max(1);
-    let mut lo = ((n as u64 * v / min_steady) as u32).clamp(1, MAX_SESSIONS);
-    if !probe(lo) {
-        lo = 1;
-    }
-    let mut hi = lo.saturating_mul(2).min(MAX_SESSIONS);
-    while probe(hi) && hi < MAX_SESSIONS {
-        lo = hi;
-        hi = hi.saturating_mul(2).min(MAX_SESSIONS);
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if probe(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    search(n as Cycle * v, min_steady, |m| {
+        cluster_feasible(m, &st, n, v, switch_tax, policy, cfg.seed)
+    })
 }
 
 #[cfg(test)]

@@ -13,6 +13,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test (oovr + oovr-serve lib tests at 16 threads)"
+# Tests that share process-wide state (the memo tables and their counters)
+# only interfere when they run concurrently, so run the two crates that own
+# such state at a fixed high parallelism: a shared-counter race shows up
+# here on any core count, not only on many-core hosts.
+cargo test -q --release -p oovr -p oovr-serve --lib -- --test-threads 16
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
@@ -50,9 +57,8 @@ echo "==> figures smoke run (reduced scale: fig15 + resilience + cluster + chaos
 # scripts/perf_baseline.txt (committed seconds for this smoke): a
 # wall-clock blow-up past ~2x the baseline fails the gate loudly, so
 # substrate regressions (a cache probe that loses its MRU fast path, a
-# classifier that stops accepting, a cluster-scheduler rescan creeping
-# back in, an unbounded per-session pose cache) surface here instead of
-# in a multi-minute figures run.
+# cluster-scheduler rescan creeping back in, an unbounded per-session pose
+# cache) surface here instead of in a multi-minute figures run.
 SMOKE_START=$(date +%s.%N)
 cargo run -q --release -p oovr-bench --bin figures -- --scale 0.05 fig15 resilience cluster chaos temporal metrics health edge
 SMOKE_SECS=$(awk -v a="$SMOKE_START" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')

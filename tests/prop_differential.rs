@@ -474,123 +474,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Tiled rasterizer against the per-pixel reference.
-// ---------------------------------------------------------------------------
-
-/// One recorded quad emission: `(x, y, mask, uv.x bits, uv.y bits, z bits)`.
-type QuadRecord = (u32, u32, u8, u32, u32, u32);
-
-/// Byte-exact emission record of one rasterizer pass.
-fn raster_emissions(
-    tri: &oovr_scene::ScreenTriangle,
-    clip: Option<&oovr_scene::Rect>,
-    w: u32,
-    h: u32,
-    tiled: bool,
-) -> (u64, Vec<QuadRecord>) {
-    let mut out = Vec::new();
-    let sink = |q: oovr_gpu::QuadFragment| {
-        out.push((q.x, q.y, q.mask, q.uv.x.to_bits(), q.uv.y.to_bits(), q.z.to_bits()));
-    };
-    let quads = if tiled {
-        oovr_gpu::rasterize(tri, clip, w, h, sink)
-    } else {
-        oovr_gpu::rasterize_scalar(tri, clip, w, h, sink)
-    };
-    (quads, out)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// The tiled rasterizer emits bit-for-bit the quads of the per-pixel
-    /// reference — same order, same coverage masks, same UV and Z bits —
-    /// for arbitrary triangles (including slivers, degenerate and
-    /// off-screen ones, both windings) under arbitrary clip rectangles.
-    /// A tile-accept margin that is one ULP too eager fails this: an
-    /// accepted tile would emit a full mask where the per-pixel walk
-    /// rejects a borderline sample.
-    #[test]
-    fn tiled_raster_matches_scalar(
-        // Vertex coordinates in 1/8-pixel steps spanning off-screen
-        // (−400 px) to beyond the frame (+2200 px); small denominators
-        // make near-edge pixel centers (the margin's hard cases) common.
-        verts in prop::collection::vec(0u32..20_800, 6..7),
-        uvs in prop::collection::vec(0u32..512, 6..7),
-        z in 0u8..200,
-        clip_on in 0u8..2,
-        clip_box in (0u32..180, 0u32..180, 1u32..200, 1u32..200),
-        degenerate in 0u8..2,
-    ) {
-        let c = |v: u32| (v as f32 - 3_200.0) / 8.0;
-        let mut v = [
-            oovr_scene::Vec2::new(c(verts[0]), c(verts[1])),
-            oovr_scene::Vec2::new(c(verts[2]), c(verts[3])),
-            oovr_scene::Vec2::new(c(verts[4]), c(verts[5])),
-        ];
-        if degenerate == 1 {
-            // Collinear: the midpoint of the other two.
-            v[2] = oovr_scene::Vec2::new((v[0].x + v[1].x) * 0.5, (v[0].y + v[1].y) * 0.5);
-        }
-        let tri = oovr_scene::ScreenTriangle {
-            v,
-            uv: [
-                oovr_scene::Vec2::new(uvs[0] as f32, uvs[1] as f32),
-                oovr_scene::Vec2::new(uvs[2] as f32, uvs[3] as f32),
-                oovr_scene::Vec2::new(uvs[4] as f32, uvs[5] as f32),
-            ],
-            z: f32::from(z) / 200.0,
-            texture: oovr_scene::TextureId(0),
-        };
-        let (cx, cy, cw, ch) = clip_box;
-        let clip = (clip_on == 1)
-            .then(|| oovr_scene::Rect::new(cx as f32, cy as f32, cw as f32, ch as f32));
-        let (tq, tiled) = raster_emissions(&tri, clip.as_ref(), 256, 256, true);
-        let (sq, scalar) = raster_emissions(&tri, clip.as_ref(), 256, 256, false);
-        prop_assert_eq!(tq, sq, "quad count divergence");
-        prop_assert_eq!(tiled, scalar, "emission divergence");
-    }
-
-    /// Adversarial margin cases: a near-vertical edge hugging a sample
-    /// column (sample x = col + 0.515625, exactly representable) offset by
-    /// amounts down to 2⁻²⁰ px. True edge values at those samples sit well
-    /// inside the classifier's error margin, so a classifier that accepts
-    /// or rejects borderline tiles instead of leaving them `Partial` emits
-    /// different masks than the per-pixel `f32` walk.
-    #[test]
-    fn tiled_raster_matches_scalar_near_edges(
-        col in 1u32..250,
-        dx_exp in 0u32..21,
-        sign in 0u8..2,
-        wind in 0u8..2,
-        apex_y in 0u32..40,
-    ) {
-        let sx = col as f32 + 0.515625;
-        let dx = (f32::from(sign) * 2.0 - 1.0) * (2.0f32).powi(-(dx_exp as i32));
-        // Edge from below the frame to above it, skewed by ±2·dx across its
-        // run so some tiles straddle the sample column at sub-margin range.
-        let a = oovr_scene::Vec2::new(sx + dx, -10.0);
-        let b = oovr_scene::Vec2::new(sx - dx, 266.0);
-        let apex =
-            oovr_scene::Vec2::new(if wind == 0 { 500.0 } else { -300.0 }, apex_y as f32 * 6.0);
-        let tri = oovr_scene::ScreenTriangle {
-            v: [a, b, apex],
-            uv: [
-                oovr_scene::Vec2::new(0.0, 0.0),
-                oovr_scene::Vec2::new(128.0, 0.0),
-                oovr_scene::Vec2::new(0.0, 128.0),
-            ],
-            z: 0.25,
-            texture: oovr_scene::TextureId(0),
-        };
-        let (tq, tiled) = raster_emissions(&tri, None, 256, 256, true);
-        let (sq, scalar) = raster_emissions(&tri, None, 256, 256, false);
-        prop_assert_eq!(tq, sq, "quad count divergence");
-        prop_assert_eq!(tiled, scalar, "emission divergence");
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Render cache and rate-schedule cursor differentials.
 // ---------------------------------------------------------------------------
 
