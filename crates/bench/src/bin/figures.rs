@@ -382,6 +382,11 @@ fn run_verify(write: bool) -> Result<(), String> {
 /// determinism instead.
 const SERVE_CSV: &str = "results/serve.csv";
 
+/// [`ServeConfig::validate`], with its error as the command's error.
+fn check_serve(cfg: &ServeConfig) -> Result<(), String> {
+    cfg.validate().map_err(|e| format!("invalid serve config: {e}"))
+}
+
 /// `figures -- serve`: the serving-capacity experiment. Prints the capacity
 /// table (max concurrent sessions at <1% missed vsync per scheme ×
 /// workload), writes it to `results/serve.csv`, then demos the scheduler's
@@ -390,6 +395,7 @@ const SERVE_CSV: &str = "results/serve.csv";
 fn run_serve(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Result<(), String> {
     let gpu = oovr_gpu::GpuConfig::default();
     let cfg = ServeConfig::default();
+    check_serve(&cfg)?;
     let table = capacity_table(specs, &gpu, &cfg);
     validate_table(&table)?;
     println!("{table}");
@@ -583,9 +589,11 @@ const TEMPORAL_REF_FRAMES: u32 = 64;
 /// (percent) and the mean warm-frame cost relative to a full re-render
 /// (percent), each averaged over [`TEMPORAL_REF_FRAMES`] frames of the
 /// default-seed reference trajectory.
-fn temporal_sweep_tables(specs: &[BenchmarkSpec]) -> Result<(FigureTable, FigureTable), String> {
+fn temporal_sweep_tables(
+    specs: &[BenchmarkSpec],
+    cfg: &ServeConfig,
+) -> Result<(FigureTable, FigureTable), String> {
     let gpu = oovr_gpu::GpuConfig::default();
-    let cfg = ServeConfig::default();
     let columns: Vec<String> = TEMPORAL_THRESHOLDS.iter().map(|t| format!("T={t}")).collect();
     let mut reuse_rows = Vec::new();
     let mut cost_rows = Vec::new();
@@ -633,14 +641,13 @@ fn temporal_sweep_tables(specs: &[BenchmarkSpec]) -> Result<(FigureTable, Figure
 
 /// The capacity frontier: serving capacity per workload under plain OO-VR
 /// vs OO-VR with pose-correlated temporal reuse at the default threshold.
-fn temporal_frontier_table(specs: &[BenchmarkSpec]) -> FigureTable {
+fn temporal_frontier_table(specs: &[BenchmarkSpec], cfg: &ServeConfig) -> FigureTable {
     let gpu = oovr_gpu::GpuConfig::default();
-    let cfg = ServeConfig::default();
     let cells: Vec<(&BenchmarkSpec, ServeScheme)> = specs
         .iter()
         .flat_map(|spec| [ServeScheme::OoVr, ServeScheme::OoVrTemporal].map(|s| (spec, s)))
         .collect();
-    let vals = experiments::par_map(&cells, |&(spec, s)| capacity(s, spec, &gpu, &cfg) as f64);
+    let vals = experiments::par_map(&cells, |&(spec, s)| capacity(s, spec, &gpu, cfg) as f64);
     let rows = specs
         .iter()
         .enumerate()
@@ -669,7 +676,9 @@ fn temporal_frontier_table(specs: &[BenchmarkSpec]) -> FigureTable {
 /// sessions than plain OO-VR. Full-scale runs refresh
 /// `results/temporal*.csv`; scaled smokes validate without writing.
 fn run_temporal(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Result<(), String> {
-    let (reuse, cost) = temporal_sweep_tables(specs)?;
+    let cfg = ServeConfig::default();
+    check_serve(&cfg)?;
+    let (reuse, cost) = temporal_sweep_tables(specs, &cfg)?;
     validate_table(&reuse)?;
     validate_table(&cost)?;
     println!("{reuse}");
@@ -695,7 +704,7 @@ fn run_temporal(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> R
             }
         }
     }
-    let frontier = temporal_frontier_table(specs);
+    let frontier = temporal_frontier_table(specs, &cfg);
     validate_table(&frontier)?;
     println!("{frontier}");
     for (label, _) in &frontier.rows {
@@ -742,9 +751,10 @@ const HEALTH_CSV: &str = "results/health.csv";
 /// The pinned workload behind `results/metrics.prom`: fixed scale and run
 /// shape regardless of `--scale`, so the exposition is byte-stable and
 /// golden-testable.
-fn pinned_metrics_registry() -> oovr_metrics::Registry {
+fn pinned_metrics_registry() -> Result<oovr_metrics::Registry, String> {
     let spec = oovr_scene::benchmarks::hl2_640().scaled(0.05);
     let cfg = ServeConfig { sessions: 6, frames_per_session: 8, ..ServeConfig::default() };
+    check_serve(&cfg)?;
     let mut reg = oovr_metrics::Registry::new(cfg.vsync_cycles);
     simulate_metered(
         ServeScheme::OoVr,
@@ -754,7 +764,7 @@ fn pinned_metrics_registry() -> oovr_metrics::Registry {
         None,
         Some(&mut reg),
     );
-    reg
+    Ok(reg)
 }
 
 /// `figures -- metrics`: one metered single-server OO-VR run per workload
@@ -765,6 +775,7 @@ fn pinned_metrics_registry() -> oovr_metrics::Registry {
 fn run_metrics(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Result<(), String> {
     let gpu = oovr_gpu::GpuConfig::default();
     let cfg = ServeConfig::default();
+    check_serve(&cfg)?;
     let (table, _regs) = metrics_table(specs, &gpu, &cfg);
     validate_table(&table)?;
     println!("{table}");
@@ -773,7 +784,7 @@ fn run_metrics(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Re
         std::fs::write(METRICS_CSV, table.to_csv()).map_err(|e| e.to_string())?;
         println!("  wrote {METRICS_CSV}");
     }
-    let pinned = pinned_metrics_registry();
+    let pinned = pinned_metrics_registry()?;
     let prom = oovr_metrics::export::prometheus(&pinned);
     std::fs::write(METRICS_PROM, &prom).map_err(|e| e.to_string())?;
     println!("  wrote {METRICS_PROM} ({} lines, pinned workload)", prom.lines().count());
@@ -837,6 +848,7 @@ fn run_health(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Res
     // must hold its motion-to-photon, missed-vsync, and reprojection
     // budgets both nominal and under the seed-scanned link-down plan.
     let edge_cfg = EdgeConfig::default();
+    check_serve(&edge_cfg.serve)?;
     let (edge_table, edge_cells) = edge_health_table(specs, &gpu, &edge_cfg);
     validate_table(&edge_table)?;
     println!("{edge_table}");
@@ -909,6 +921,7 @@ const EDGE_HEALTH_CSV: &str = "results/edge_health.csv";
 fn run_edge(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Result<(), String> {
     let gpu = oovr_gpu::GpuConfig::default();
     let cfg = EdgeConfig::default();
+    check_serve(&cfg.serve)?;
 
     // Gate 1: the ideal link adds nothing — split serving degenerates to
     // local serving bit-for-bit.
@@ -1169,6 +1182,7 @@ fn run_serve_trace_scheme(scheme: ServeScheme, workload: &str, scale: f64) -> Re
         },
         ..ServeConfig::default()
     };
+    check_serve(&cfg)?;
     let mut rec = oovr_trace::Recorder::new(oovr_trace::TraceConfig::default());
     let out = simulate(scheme, &spec, &gpu, &cfg, Some(&mut rec));
     let dropped = rec.dropped();
@@ -1303,6 +1317,7 @@ fn run_temporal_trace(workload: &str, scale: f64) -> Result<(), String> {
     let spec = trace_workload(workload, scale)?;
     let gpu = oovr_gpu::GpuConfig::default();
     let cfg = ServeConfig { sessions: 4, frames_per_session: 12, ..ServeConfig::default() };
+    check_serve(&cfg)?;
     let mut rec = oovr_trace::Recorder::new(oovr_trace::TraceConfig::default());
     let out = simulate(ServeScheme::OoVrTemporal, &spec, &gpu, &cfg, Some(&mut rec));
     let dropped = rec.dropped();
@@ -1377,6 +1392,7 @@ fn run_edge_trace(workload: &str, scale: f64) -> Result<(), String> {
         link: LinkConfig { base_loss: 0.05, ..LinkConfig::default() },
         client: oovr_edge::ClientConfig::default(),
     };
+    check_serve(&base.serve)?;
     let mut settled: Option<(oovr_edge::EdgeOutcome, oovr_trace::Recorder)> = None;
     for s in 0..256u64 {
         let plan = oovr_gpu::FaultPlan::new(
@@ -1570,11 +1586,12 @@ fn run_perf(scale: f64) {
     println!("{:<16} {cluster_s:>8.2}s  (cluster capacity vs N, all workloads)", "cluster");
     tables.push(("cluster", cluster_s));
     // The temporal entry prices the threshold sweep plus the two-scheme
-    // capacity frontier; its OO-VR streams were memoized above, so the
-    // marginal cost is the temporal profile renders and the probe math.
+    // capacity frontier; the serve timing above memoized its streams (one
+    // profiled render backs OOVR and OOVR+temporal), so the marginal cost
+    // is the probe math.
     let t0 = std::time::Instant::now();
-    let _ = temporal_sweep_tables(&specs);
-    let _ = temporal_frontier_table(&specs);
+    let _ = temporal_sweep_tables(&specs, &ServeConfig::default());
+    let _ = temporal_frontier_table(&specs, &ServeConfig::default());
     let temporal_s = t0.elapsed().as_secs_f64();
     println!("{:<16} {temporal_s:>8.2}s  (temporal sweep + frontier, all workloads)", "temporal");
     tables.push(("temporal", temporal_s));

@@ -25,12 +25,14 @@
 //!
 //! # The batched decision
 //!
-//! A decision is two passes. [`TemporalProfile::motions`] does the
-//! pose-pair work once (equality flag, both view matrices, the head
-//! shift) and measures every object in one loop over the profile's
-//! column-laid [`MotionProbes`], whose rays and diagonals were computed
-//! when the profile was built. [`TemporalProfile::decide_motions`] then
-//! folds the per-GPM loads. The motions are bit-identical to each object's
+//! [`TemporalProfile::decide`] does the pose-pair work once (equality
+//! flag, both view matrices, the head shift), measures every object over
+//! the profile's column-laid [`MotionProbes`], whose rays and diagonals
+//! were computed when the profile was built, and folds each motion into
+//! per-GPM loads held in a fixed `[Cycle; MAX_GPMS]` array: a decision
+//! allocates nothing. [`TemporalProfile::motions`] and
+//! [`TemporalProfile::decide_motions`] are the same two steps with the
+//! motions materialized. The motions are bit-identical to each object's
 //! [`RenderObject::projected_motion`](oovr_scene::RenderObject::projected_motion):
 //! both paths run one per-object function (see [`oovr_scene::motion`]).
 //!
@@ -53,6 +55,7 @@
 
 use oovr_frameworks::atw;
 use oovr_gpu::GpuConfig;
+use oovr_mem::placement::MAX_GPMS;
 use oovr_mem::Cycle;
 use oovr_scene::{MotionProbes, Pose, Scene};
 
@@ -148,7 +151,8 @@ impl TemporalProfile {
     ///
     /// # Panics
     ///
-    /// Panics if the attribution extents disagree with the scene.
+    /// Panics if the attribution extents disagree with the scene, or if
+    /// `n_gpms` exceeds [`MAX_GPMS`].
     pub fn new(
         scene: &Scene,
         cfg: &GpuConfig,
@@ -158,6 +162,7 @@ impl TemporalProfile {
         steady_cycles: Cycle,
     ) -> Self {
         let n = scene.objects().len();
+        assert!(n_gpms <= MAX_GPMS, "at most {MAX_GPMS} GPMs, got {n_gpms}");
         assert_eq!(busy.len(), n * n_gpms, "busy attribution extent");
         assert_eq!(pixels.len(), n, "pixel attribution extent");
         let mut full = vec![0; n_gpms];
@@ -229,7 +234,15 @@ impl TemporalProfile {
             let n = self.probes.len() as u32;
             return TemporalDecision { reused: 0, rerendered: n, saved: 0 };
         }
-        self.decide_motions(&self.motions(from, to), threshold)
+        let mut loads = self.full_loads();
+        let mut reused = 0u32;
+        self.probes.for_each_motion(from, to, |o, m| {
+            if m < threshold {
+                reused += 1;
+                self.reuse(&mut loads, o);
+            }
+        });
+        self.decision(&loads, reused)
     }
 
     /// Every object's projected-bound motion (pixels) under `from → to`, in
@@ -246,23 +259,41 @@ impl TemporalProfile {
     ///
     /// Panics if `motion` does not hold one value per object.
     pub fn decide_motions(&self, motion: &[f64], threshold: f64) -> TemporalDecision {
-        let n = self.probes.len();
-        assert_eq!(motion.len(), n, "one motion per object");
-        let mut loads = self.full.clone();
+        assert_eq!(motion.len(), self.probes.len(), "one motion per object");
+        let mut loads = self.full_loads();
         let mut reused = 0u32;
         for (o, &m) in motion.iter().enumerate() {
             if m < threshold {
                 reused += 1;
-                for (l, b) in loads.iter_mut().zip(&self.busy[o * self.n_gpms..]) {
-                    *l -= b;
-                }
-                loads[self.resident[o] as usize] += self.warp[o];
+                self.reuse(&mut loads, o);
             }
         }
-        let reduced_max = loads.iter().copied().max().unwrap_or(0);
+        self.decision(&loads, reused)
+    }
+
+    /// The per-GPM loads of a full re-render, in a fixed array so a
+    /// decision allocates nothing.
+    fn full_loads(&self) -> [Cycle; MAX_GPMS] {
+        let mut loads = [0; MAX_GPMS];
+        loads[..self.n_gpms].copy_from_slice(&self.full);
+        loads
+    }
+
+    /// Swaps object `o`'s busy on every GPM for its warp at its resident GPM.
+    fn reuse(&self, loads: &mut [Cycle; MAX_GPMS], o: usize) {
+        let row = &self.busy[o * self.n_gpms..(o + 1) * self.n_gpms];
+        for (l, b) in loads.iter_mut().zip(row) {
+            *l -= b;
+        }
+        loads[self.resident[o] as usize] += self.warp[o];
+    }
+
+    /// The decision whose reduced per-GPM loads are `loads`.
+    fn decision(&self, loads: &[Cycle; MAX_GPMS], reused: u32) -> TemporalDecision {
+        let reduced_max = loads[..self.n_gpms].iter().copied().max().unwrap_or(0);
         TemporalDecision {
             reused,
-            rerendered: n as u32 - reused,
+            rerendered: self.probes.len() as u32 - reused,
             saved: self.full_max - reduced_max,
         }
     }

@@ -12,9 +12,9 @@
 //!   parallax weight — computed once when the probe is built;
 //! * [`MotionProbes`] lays many probes out as columns (per corner, per
 //!   component, one `Vec<f64>` across objects), and
-//!   [`motions`](MotionProbes::motions) builds one `PoseDelta` and
-//!   measures every probe in one loop with no exit and no data-dependent
-//!   branch.
+//!   [`for_each_motion`](MotionProbes::for_each_motion) builds one
+//!   `PoseDelta` and measures every probe in one loop, handing each
+//!   motion to the caller's fold, so a decision allocates nothing.
 //!
 //! # Exactness
 //!
@@ -24,7 +24,9 @@
 //! and each object's remaining operations keep their order — the two
 //! matrix-vector products are not pre-composed into one, no sum is
 //! reassociated, no multiply-add is fused, and `f64::max`/`f64::min` keep
-//! their semantics. Vectorising across objects is exact as well: lane-wise
+//! their semantics. The one rewrite is the farthest corner, picked by
+//! squared distance before a single square root; `moving_motion` shows why
+//! that is exact. Vectorising across objects is exact as well: lane-wise
 //! add, multiply, divide and square root round like their scalar forms.
 
 use crate::pose::Pose;
@@ -125,9 +127,14 @@ impl MotionProbe {
 /// instead of returning early, so a loop over probes has no exit and no
 /// data-dependent branch. The result equals stopping at the first such
 /// corner: it is then `diag` whatever the other corners measured.
+///
+/// The farthest corner is found by squared distance and only its distance
+/// takes a square root. That equals the maximum of per-corner roots bit for
+/// bit: `sqrt` is correctly rounded and monotone, a sum of squares is never
+/// `-0.0`, and `f64::max` skips a NaN operand either way.
 #[inline(always)]
 fn moving_motion(d: &PoseDelta, p: &MotionProbe) -> f64 {
-    let mut worst = 0.0f64;
+    let mut worst_sq = 0.0f64;
     let mut behind = false;
     for (&[px, py], &[rx, ry]) in p.corners.iter().zip(&p.rays) {
         let v = [rx, ry, 1.0];
@@ -148,14 +155,13 @@ fn moving_motion(d: &PoseDelta, p: &MotionProbe) -> f64 {
         behind |= n[2] <= 1e-9;
         let nx = (n[0] / n[2] + 1.0) * 0.5 * p.width;
         let ny = (n[1] / n[2] + 1.0) * 0.5 * p.height;
-        let dist = ((nx - px) * (nx - px) + (ny - py) * (ny - py)).sqrt();
-        worst = worst.max(dist);
+        worst_sq = worst_sq.max((nx - px) * (nx - px) + (ny - py) * (ny - py));
     }
     let parallax = d.shift * p.near * 0.5 * p.width;
     if behind {
         p.diag
     } else {
-        (worst + parallax).min(p.diag)
+        (worst_sq.sqrt() + parallax).min(p.diag)
     }
 }
 
@@ -200,21 +206,30 @@ impl MotionProbes {
     /// Every probe's motion between `from` and `to`, in order.
     /// Bit-identical to calling [`MotionProbe::motion`] per probe.
     pub fn motions(&self, from: &Pose, to: &Pose) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_motion(from, to, |_, m| out.push(m));
+        out
+    }
+
+    /// Calls `f(o, motion)` for every probe `o` in order, with the motions
+    /// of [`motions`](Self::motions): a caller folds them without
+    /// allocating.
+    pub fn for_each_motion(&self, from: &Pose, to: &Pose, mut f: impl FnMut(usize, f64)) {
         let n = self.len();
-        let mut out = vec![0.0; n];
         let delta = PoseDelta::new(from, to);
         if delta.still {
-            return out;
+            (0..n).for_each(|o| f(o, 0.0));
+            return;
         }
         // Slicing every column to `n` once lets the compiler drop the
-        // per-object bounds checks and vectorise the loop.
+        // per-object bounds checks.
         let cx = self.corner_x.each_ref().map(|c| &c[..n]);
         let cy = self.corner_y.each_ref().map(|c| &c[..n]);
         let rx = self.ray_x.each_ref().map(|c| &c[..n]);
         let ry = self.ray_y.each_ref().map(|c| &c[..n]);
         let (near, width, height, diag) =
             (&self.near[..n], &self.width[..n], &self.height[..n], &self.diag[..n]);
-        for (o, m) in out.iter_mut().enumerate() {
+        for o in 0..n {
             let p = MotionProbe {
                 corners: [0, 1, 2, 3].map(|k| [cx[k][o], cy[k][o]]),
                 rays: [0, 1, 2, 3].map(|k| [rx[k][o], ry[k][o]]),
@@ -223,9 +238,8 @@ impl MotionProbes {
                 height: height[o],
                 diag: diag[o],
             };
-            *m = moving_motion(&delta, &p);
+            f(o, moving_motion(&delta, &p));
         }
-        out
     }
 }
 

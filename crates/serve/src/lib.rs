@@ -84,7 +84,7 @@ pub use qos::{aggregate_qos, percentile, session_qos, AggregateQos, SessionQos};
 pub use router::{Placement, RouterConfig, ServerView};
 pub use scheduler::{
     record_trace, run_edf, simulate, simulate_metered, AdmissionGate, FrameRecord, Reject,
-    ServeConfig, ServeOutcome, SessionOutcome,
+    ServeConfig, ServeConfigError, ServeOutcome, SessionOutcome,
 };
 pub use stream::{
     cost_stream, serve_cache_stats, ServeCacheStats, ServeScheme, SessionCostStream,

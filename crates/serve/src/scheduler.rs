@@ -35,6 +35,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::sync::Arc;
 
 use oovr::{ResilienceConfig, TemporalConfig};
@@ -90,6 +91,68 @@ impl Default for ServeConfig {
         }
     }
 }
+
+impl ServeConfig {
+    /// Checks every field the scheduler cannot serve sensibly:
+    /// - `headroom` must lie in `(0, 1]` (NaN fails);
+    /// - `vsync_cycles` must be nonzero;
+    /// - `temporal.reuse_threshold` must be finite;
+    /// - `resilience.shed_step` and `resilience.shed_floor` must lie in
+    ///   `(0, 1]`.
+    ///
+    /// [`simulate`] and [`capacity`](crate::capacity()) do not call it; the
+    /// front ends that build configs do.
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        let unit = |v: f64| v > 0.0 && v <= 1.0;
+        if !unit(self.headroom) {
+            return Err(ServeConfigError::Headroom(self.headroom));
+        }
+        if self.vsync_cycles == 0 {
+            return Err(ServeConfigError::ZeroVsync);
+        }
+        if !self.temporal.reuse_threshold.is_finite() {
+            return Err(ServeConfigError::ReuseThreshold(self.temporal.reuse_threshold));
+        }
+        if !unit(self.resilience.shed_step) {
+            return Err(ServeConfigError::ShedStep(self.resilience.shed_step));
+        }
+        if !unit(self.resilience.shed_floor) {
+            return Err(ServeConfigError::ShedFloor(self.resilience.shed_floor));
+        }
+        Ok(())
+    }
+}
+
+/// A [`ServeConfig`] field out of range; see [`ServeConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ServeConfigError {
+    /// `headroom` is NaN or outside `(0, 1]`.
+    Headroom(f64),
+    /// `vsync_cycles` is zero.
+    ZeroVsync,
+    /// `temporal.reuse_threshold` is NaN or infinite.
+    ReuseThreshold(f64),
+    /// `resilience.shed_step` is NaN or outside `(0, 1]`.
+    ShedStep(f64),
+    /// `resilience.shed_floor` is NaN or outside `(0, 1]`.
+    ShedFloor(f64),
+}
+
+impl fmt::Display for ServeConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeConfigError::Headroom(v) => write!(f, "headroom must be in (0, 1], got {v}"),
+            ServeConfigError::ZeroVsync => write!(f, "vsync_cycles must be nonzero"),
+            ServeConfigError::ReuseThreshold(v) => {
+                write!(f, "reuse_threshold must be finite, got {v}")
+            }
+            ServeConfigError::ShedStep(v) => write!(f, "shed_step must be in (0, 1], got {v}"),
+            ServeConfigError::ShedFloor(v) => write!(f, "shed_floor must be in (0, 1], got {v}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeConfigError {}
 
 /// One scheduled frame of an admitted session.
 #[derive(Debug, Clone, PartialEq)]
@@ -662,5 +725,51 @@ mod tests {
         let again = simulate(ServeScheme::Baseline, &spec(), &GpuConfig::default(), &cfg, None);
         let a2: Vec<Pose> = again.sessions[0].frames.iter().map(|f| f.pose).collect();
         assert_eq!(a, a2);
+    }
+
+    #[test]
+    fn validate_accepts_only_servable_configs() {
+        use ServeConfigError as E;
+        let d = ServeConfig::default();
+        let with_headroom = |headroom| ServeConfig { headroom, ..d.clone() };
+        let with_threshold = |reuse_threshold| ServeConfig {
+            temporal: oovr::TemporalConfig { reuse_threshold },
+            ..d.clone()
+        };
+        let with_shed = |shed_step, shed_floor| ServeConfig {
+            resilience: ResilienceConfig { shed_step, shed_floor, ..d.resilience },
+            ..d.clone()
+        };
+        let cases: Vec<(&str, ServeConfig, Result<(), ServeConfigError>)> = vec![
+            ("default", d.clone(), Ok(())),
+            ("headroom 1", with_headroom(1.0), Ok(())),
+            ("tiny headroom", with_headroom(1e-9), Ok(())),
+            ("headroom 0", with_headroom(0.0), Err(E::Headroom(0.0))),
+            ("headroom -1", with_headroom(-1.0), Err(E::Headroom(-1.0))),
+            ("headroom > 1", with_headroom(1.5), Err(E::Headroom(1.5))),
+            ("headroom inf", with_headroom(f64::INFINITY), Err(E::Headroom(f64::INFINITY))),
+            ("vsync 0", ServeConfig { vsync_cycles: 0, ..d.clone() }, Err(E::ZeroVsync)),
+            ("vsync 1", ServeConfig { vsync_cycles: 1, ..d.clone() }, Ok(())),
+            ("exact threshold", with_threshold(0.0), Ok(())),
+            ("negative threshold", with_threshold(-3.0), Ok(())),
+            ("inf threshold", with_threshold(f64::INFINITY), Err(E::ReuseThreshold(f64::INFINITY))),
+            ("shed 1/1", with_shed(1.0, 1.0), Ok(())),
+            ("shed step 0", with_shed(0.0, 0.4), Err(E::ShedStep(0.0))),
+            ("shed step > 1", with_shed(1.2, 0.4), Err(E::ShedStep(1.2))),
+            ("shed floor 0", with_shed(0.8, 0.0), Err(E::ShedFloor(0.0))),
+            ("shed floor -1", with_shed(0.8, -1.0), Err(E::ShedFloor(-1.0))),
+        ];
+        for (name, cfg, want) in cases {
+            assert_eq!(cfg.validate(), want, "{name}");
+        }
+        // NaN never equals itself, so match the variant instead.
+        assert!(matches!(with_headroom(f64::NAN).validate(), Err(E::Headroom(v)) if v.is_nan()));
+        assert!(matches!(
+            with_threshold(f64::NAN).validate(),
+            Err(E::ReuseThreshold(v)) if v.is_nan()
+        ));
+        assert!(matches!(with_shed(f64::NAN, 0.4).validate(), Err(E::ShedStep(v)) if v.is_nan()));
+        assert!(matches!(with_shed(0.8, f64::NAN).validate(), Err(E::ShedFloor(v)) if v.is_nan()));
+        assert_eq!(E::ZeroVsync.to_string(), "vsync_cycles must be nonzero");
     }
 }

@@ -8,7 +8,9 @@
 //! a warm multi-frame sequence from [`OoVr::render_frames`]: frame 0 pays
 //! the PA units' one-time data distribution, later frames render from
 //! steady-state placement, exactly the serving-relevant shape (a session
-//! pays PA once at admission, then streams steady frames). Single-frame
+//! pays PA once at admission, then streams steady frames). The `OOVR` and
+//! `OOVR+temporal` streams share one such sequence, rendered once by
+//! [`OoVr::render_frames_profiled`]. Single-frame
 //! schemes (Baseline, Object-Level, OO_APP) have no cross-frame warm state,
 //! so one memoized render covers every frame.
 //!
@@ -237,13 +239,17 @@ fn measure(scheme: ServeScheme, spec: &BenchmarkSpec, cfg: &GpuConfig) -> Sessio
         ServeScheme::Baseline => vec![cache::render(SchemeKind::Baseline, &scene, cfg)],
         ServeScheme::ObjectLevel => vec![cache::render(SchemeKind::ObjectLevel, &scene, cfg)],
         ServeScheme::OoApp => vec![cache::render(SchemeKind::OoApp, &scene, cfg)],
-        // OO-VR sessions pay PA once: measure a warm sequence so frame 0 is
-        // the cold admission frame and the tail is the steady state.
-        ServeScheme::OoVr => OoVr::new().render_frames(&scene, cfg, MEASURED_FRAMES),
+        // OO-VR sessions pay PA once: a warm sequence makes frame 0 the cold
+        // admission frame and the tail the steady state. Plain OO-VR replays
+        // the temporal stream's reports: profiling never perturbs the render
+        // (`OoVr::render_frames_profiled`), so one warm render backs both
+        // streams. The temporal arm never asks for `OoVr`, so the nested
+        // memo fill cannot cycle.
+        ServeScheme::OoVr => cost_stream(ServeScheme::OoVrTemporal, spec, cfg).reports.clone(),
         ServeScheme::OoVrShed => OoVr::resilient().render_frames(&scene, cfg, MEASURED_FRAMES),
-        // Temporal reuse renders the same warm OO-VR sequence but also
-        // profiles the steady frame's per-object busy/pixel attribution so
-        // the scheduler can price reuse decisions per pose delta.
+        // Temporal reuse renders the warm OO-VR sequence and profiles the
+        // steady frame's per-object busy/pixel attribution so the scheduler
+        // can price reuse decisions per pose delta.
         ServeScheme::OoVrTemporal => {
             let (reports, profile) =
                 OoVr::new().render_frames_profiled(&scene, cfg, MEASURED_FRAMES);
@@ -321,19 +327,79 @@ mod tests {
         assert_eq!(ServeScheme::parse("oovr-temporal"), Some(ServeScheme::OoVrTemporal));
     }
 
-    #[test]
-    fn temporal_stream_carries_a_profile_and_oovr_costs() {
-        let cfg = GpuConfig::default();
-        let t = cost_stream(ServeScheme::OoVrTemporal, &spec(), &cfg);
-        let o = cost_stream(ServeScheme::OoVr, &spec(), &cfg);
-        // Attribution never perturbs the render: the temporal stream's base
-        // reports are bit-identical to plain OO-VR's.
-        assert_eq!(t.reports.len(), o.reports.len());
-        for (a, b) in t.reports.iter().zip(&o.reports) {
-            assert_eq!(a.frame_cycles, b.frame_cycles);
+    /// Every field of two report sequences, `f64`s by bit pattern. The
+    /// destructuring is exhaustive, so a new `FrameReport` field fails to
+    /// compile here until it is compared.
+    fn assert_same_reports(a: &[FrameReport], b: &[FrameReport]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            let FrameReport {
+                scheme,
+                workload,
+                frame_cycles,
+                composition_cycles,
+                gpm_busy,
+                traffic,
+                counts,
+                l1_hit_rate,
+                l2_hit_rate,
+                resident_bytes,
+            } = x;
+            assert_eq!(scheme, &y.scheme);
+            assert_eq!(workload, &y.workload);
+            assert_eq!(*frame_cycles, y.frame_cycles);
+            assert_eq!(*composition_cycles, y.composition_cycles);
+            assert_eq!(gpm_busy, &y.gpm_busy);
+            assert_eq!(traffic, &y.traffic);
+            assert_eq!(*counts, y.counts);
+            assert_eq!(l1_hit_rate.to_bits(), y.l1_hit_rate.to_bits());
+            assert_eq!(l2_hit_rate.to_bits(), y.l2_hit_rate.to_bits());
+            assert_eq!(resident_bytes, &y.resident_bytes);
         }
+    }
+
+    /// The OOVR and OOVR+temporal streams of `spec`, requested in the given
+    /// order, share one warm render that equals a standalone
+    /// [`OoVr::render_frames`] run field for field.
+    fn assert_oovr_replays_the_profiled_render(spec: &BenchmarkSpec, oovr_first: bool) {
+        let cfg = GpuConfig::default();
+        let (o, t) = if oovr_first {
+            let o = cost_stream(ServeScheme::OoVr, spec, &cfg);
+            (o, cost_stream(ServeScheme::OoVrTemporal, spec, &cfg))
+        } else {
+            let t = cost_stream(ServeScheme::OoVrTemporal, spec, &cfg);
+            (cost_stream(ServeScheme::OoVr, spec, &cfg), t)
+        };
+        assert!(!Arc::ptr_eq(&o, &t), "each scheme keeps its own stream");
+        assert_eq!(o.scheme, ServeScheme::OoVr);
+        assert_eq!(t.scheme, ServeScheme::OoVrTemporal);
+        assert_same_reports(&o.reports, &t.reports);
+        let direct = OoVr::new().render_frames(&cache::scene_for(spec), &cfg, MEASURED_FRAMES);
+        assert_same_reports(&o.reports, &direct);
         let profile = t.temporal.as_ref().expect("temporal streams carry a profile");
         assert_eq!(profile.steady_cycles(), t.steady().frame_cycles);
-        assert!(o.temporal.is_none());
+        assert!(o.temporal.is_none(), "plain OO-VR streams carry no profile");
+    }
+
+    /// A spec no other test in this module requests, so the memo entries a
+    /// request-order test fills are its own.
+    fn spec_with_seed_offset(offset: u64) -> BenchmarkSpec {
+        let base = spec();
+        BenchmarkSpec { seed: base.seed.wrapping_add(offset), ..base }
+    }
+
+    #[test]
+    fn temporal_stream_carries_a_profile_and_oovr_costs() {
+        assert_oovr_replays_the_profiled_render(&spec(), false);
+    }
+
+    #[test]
+    fn oovr_stream_requested_first_replays_the_profiled_render() {
+        assert_oovr_replays_the_profiled_render(&spec_with_seed_offset(0x5eed_0001), true);
+    }
+
+    #[test]
+    fn oovr_stream_requested_second_replays_the_profiled_render() {
+        assert_oovr_replays_the_profiled_render(&spec_with_seed_offset(0x5eed_0002), false);
     }
 }

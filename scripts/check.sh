@@ -77,8 +77,9 @@ echo "==> figures serve (FULL scale: capacity table + QoS demo)"
 # Runs the serving layer end to end — stream memoization, Eq. 3 admission,
 # EDF scheduling, capacity search — and asserts OO-VR's capacity strictly
 # exceeds the baseline's on every workload (run_serve errors otherwise).
-# Full scale since the batched substrate made it affordable (~1 min on one
-# core); this also regenerates results/serve.csv, which only happens at
+# Full scale since the batched substrate made it affordable (35-39 s on a
+# 2-core host, measured with the OOVR and OOVR+temporal streams sharing one
+# warm render); this also regenerates results/serve.csv, which only happens at
 # scale >= 1. serve.csv determinism and scheme ordering are pinned by
 # tests/prop_serve.rs.
 cargo run -q --release -p oovr-bench --bin figures -- serve
